@@ -5,10 +5,22 @@ and the rest complemented.  It is recognized by a DFA over pairs of disjoint
 state subsets plus an absorbing sink: the pair tracks the images of S and of
 its complement, and collapses to the sink as soon as they collide.  Only pair
 states reachable from the start pair are ever materialized.
+
+Atom complexity does not classify that DFA's states.  The language of a pair
+state (X, Y) is the union of the atoms A_T whose basis T is compatible with
+it: X is inside T and Y is outside T.  Atoms are non-empty and pairwise
+disjoint, so two pair states have the same language exactly when they have
+the same set of compatible columns (their *signature*), and the empty
+language is the empty signature.  A signature is stored through its canonical
+pair: every state inside all compatible columns and every state outside all
+of them.  That pair has the same signature, so it both names the quotient and
+yields its successors.  Nothing here needs the DFA to be minimal or every
+state to be reachable.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -16,8 +28,10 @@ from .dfa import (
     SUBSET_OP_LIMIT,
     Dfa,
     Transformation,
+    _apply_tables,
+    _chunk_tables,
+    _column_masks,
     _mask_of,
-    _moore_blocks,
     _set_of,
     atom_bases_by_reversal,
     minimize,
@@ -65,21 +79,12 @@ def _basis_mask(dfa: Dfa, basis: Iterable[int]) -> int:
     return _mask_of(members)
 
 
-def _letter_bits(dfa: Dfa) -> list[list[int]]:
-    # bits[k][i] = singleton mask of the image of state i+1 under letter k
+def _image_tables(dfa: Dfa) -> list[list[list[int]]]:
+    """Per letter, the chunk tables mapping a state mask to its image."""
     return [
-        [1 << (t(q) - 1) for q in range(1, dfa.state_count + 1)]
+        _chunk_tables([1 << (t(q) - 1) for q in range(1, dfa.state_count + 1)])
         for t in (dfa.delta[letter] for letter in dfa.alphabet)
     ]
-
-
-def _apply(mask: int, bits: list[int]) -> int:
-    image = 0
-    while mask:
-        low = mask & -mask
-        image |= bits[low.bit_length() - 1]
-        mask ^= low
-    return image
 
 
 def _explore(dfa: Dfa, basis_mask: int):
@@ -92,12 +97,12 @@ def _explore(dfa: Dfa, basis_mask: int):
     full = (1 << n) - 1
     fmask = _mask_of(dfa.finals)
     nfmask = full ^ fmask
-    letter_bits = _letter_bits(dfa)
+    images = _image_tables(dfa)
 
     start = (basis_mask, full ^ basis_mask)
     pairs: list[tuple[int, int] | None] = [start]
     index: dict[tuple[int, int] | None, int] = {start: 0}
-    rows: list[list[int]] = [[] for _ in letter_bits]
+    rows: list[list[int]] = [[] for _ in images]
     finals: list[bool] = []
 
     pos = 0
@@ -110,9 +115,9 @@ def _explore(dfa: Dfa, basis_mask: int):
         else:
             x, y = state
             finals.append((x & nfmask) == 0 and (y & fmask) == 0)
-            for k, bits in enumerate(letter_bits):
-                nx = _apply(x, bits)
-                ny = _apply(y, bits)
+            for k, tables in enumerate(images):
+                nx = _apply_tables(x, tables)
+                ny = _apply_tables(y, tables)
                 key = None if nx & ny else (nx, ny)
                 j = index.get(key)
                 if j is None:
@@ -157,7 +162,7 @@ def is_atom(dfa: Dfa, basis: Iterable[int]) -> bool:
     full = (1 << n) - 1
     fmask = _mask_of(dfa.finals)
     nfmask = full ^ fmask
-    letter_bits = _letter_bits(dfa)
+    images = _image_tables(dfa)
 
     start = (mask, full ^ mask)
     seen = {start}
@@ -167,9 +172,9 @@ def is_atom(dfa: Dfa, basis: Iterable[int]) -> bool:
         for x, y in frontier:
             if (x & nfmask) == 0 and (y & fmask) == 0:
                 return True
-            for bits in letter_bits:
-                nx = _apply(x, bits)
-                ny = _apply(y, bits)
+            for tables in images:
+                nx = _apply_tables(x, tables)
+                ny = _apply_tables(y, tables)
                 if not nx & ny and (nx, ny) not in seen:
                     seen.add((nx, ny))
                     nxt.append((nx, ny))
@@ -177,22 +182,108 @@ def is_atom(dfa: Dfa, basis: Iterable[int]) -> bool:
     return False
 
 
+class _QuotientEngine:
+    """The quotients of the atoms of one DFA, named by canonical pair keys.
+
+    ``inside[q]`` and ``outside[q]`` are bitsets over the columns: bit i is set
+    when column i contains, or lacks, state q.  A quotient's key packs its
+    canonical pair (X, Y) as ``X | Y << n``; the empty quotient's key is None.
+    ``successors`` memoizes each key's per-letter successor keys, so atoms of
+    the same DFA share the quotients they have in common.
+    """
+
+    def __init__(self, dfa: Dfa):
+        n = dfa.state_count
+        columns = sorted(_column_masks(dfa))
+        self.n = n
+        self.full = (1 << n) - 1
+        self.every_column = (1 << len(columns)) - 1
+        self.inside = [
+            int("".join("1" if col >> q & 1 else "0" for col in reversed(columns)), 2)
+            for q in range(n)
+        ]
+        self.outside = [self.every_column ^ bits for bits in self.inside]
+        self.images = _image_tables(dfa)
+        self.successors: dict[int, tuple[int | None, ...]] = {}
+
+    def key(self, x: int, y: int) -> int | None:
+        """Key of the quotient recognized at pair state (x, y)."""
+        if x & y:
+            return None
+        inside, outside = self.inside, self.outside
+        signature = self.every_column
+        m = x
+        while m:
+            low = m & -m
+            signature &= inside[low.bit_length() - 1]
+            m ^= low
+        m = y
+        while m:
+            low = m & -m
+            signature &= outside[low.bit_length() - 1]
+            m ^= low
+        if not signature:
+            return None
+        m = self.full ^ (x | y)
+        while m:
+            low = m & -m
+            q = low.bit_length() - 1
+            if not signature & outside[q]:
+                x |= low
+            elif not signature & inside[q]:
+                y |= low
+            m ^= low
+        return x | y << self.n
+
+    def complexity(self, basis_mask: int) -> int:
+        """Number of distinct quotients of the atom, or 0 if it is empty."""
+        start = self.key(basis_mask, self.full ^ basis_mask)
+        if start is None:
+            return 0
+        memo = self.successors
+        seen = {start}
+        order = [start]
+        empty = 0
+        for key in order:
+            successors = memo.get(key)
+            if successors is None:
+                x, y = key & self.full, key >> self.n
+                successors = tuple(
+                    self.key(_apply_tables(x, tables), _apply_tables(y, tables))
+                    for tables in self.images
+                )
+                memo[key] = successors
+            for succ in successors:
+                if succ not in seen:
+                    if succ is None:
+                        empty = 1
+                    else:
+                        seen.add(succ)
+                        order.append(succ)
+        return len(seen) + empty
+
+
+@functools.lru_cache(maxsize=1)
+def _engine(dfa: Dfa) -> _QuotientEngine:
+    return _QuotientEngine(dfa)
+
+
 def atom_complexity(dfa: Dfa, basis: Iterable[int]) -> int:
     """Quotient complexity of the atom named by ``basis``.
 
-    Counts the indistinguishability classes of the reachable pair states; all
-    pair states recognizing the empty language fall into a single class with
-    the sink, so the empty quotient is counted at most once.  Raises
+    Counts the distinct languages of the reachable pair states by their
+    compatible columns (see the module docstring), with the empty language
+    counted once if some word leads to it.  Repeated calls on equal DFAs share
+    the columns and the quotients already explored.  Raises
     ``NotAnAtomError`` when the intersection is empty.
     """
     mask = _basis_mask(dfa, basis)
-    pairs, rows, finals = _explore(dfa, mask)
-    if not any(finals):
+    complexity = _engine(dfa).complexity(mask)
+    if not complexity:
         raise NotAnAtomError(
             f"basis {sorted(_set_of(mask))} names an empty atomic intersection"
         )
-    blocks = _moore_blocks(len(pairs), rows, finals)
-    return max(blocks) + 1
+    return complexity
 
 
 @dataclass(frozen=True)

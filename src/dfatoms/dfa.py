@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     CapExceededError,
@@ -106,7 +107,9 @@ def compose(first: Transformation, second: Transformation) -> Transformation:
 class Dfa:
     """A complete DFA: one transformation per letter, an initial state, finals.
 
-    Immutable after construction; all operations on it are pure functions.
+    Immutable after construction: ``delta`` is a read-only view of a private
+    copy, and equal DFAs hash equal, so a DFA can key a cache.  All operations
+    on it are pure functions.
     """
 
     state_count: int
@@ -117,7 +120,7 @@ class Dfa:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "delta", dict(self.delta))
+        object.__setattr__(self, "delta", MappingProxyType(dict(self.delta)))
         object.__setattr__(self, "finals", frozenset(self.finals))
         n = self.state_count
         if n < 1:
@@ -146,6 +149,17 @@ class Dfa:
             raise InvalidDfaError(f"initial state {self.initial} not in 1..{n}")
         if not self.finals <= frozenset(range(1, n + 1)):
             raise InvalidDfaError(f"final states {sorted(self.finals)} not within 1..{n}")
+
+    def __hash__(self) -> int:
+        return hash(
+            (
+                self.state_count,
+                self.alphabet,
+                tuple(self.delta[letter] for letter in self.alphabet),
+                self.initial,
+                self.finals,
+            )
+        )
 
     def transformation(self, letter: str) -> Transformation:
         try:
@@ -325,6 +339,60 @@ def transition_semigroup(dfa: Dfa, cap: int) -> frozenset[Transformation]:
     return frozenset(seen)
 
 
+def _chunk_tables(bits: list[int]) -> list[list[int]]:
+    """Lookup tables for the union of ``bits[i]`` over the members i+1 of a mask.
+
+    There is one table per 8-bit chunk of the mask, indexed by the chunk's
+    value, so mapping a mask costs one lookup per 8 states.
+    """
+    tables = []
+    for base in range(0, len(bits), 8):
+        table = [0] * (1 << min(8, len(bits) - base))
+        for value in range(1, len(table)):
+            low = value & -value
+            table[value] = table[value ^ low] | bits[base + low.bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
+def _apply_tables(mask: int, tables: list[list[int]]) -> int:
+    result = 0
+    for table in tables:
+        result |= table[mask & 255]
+        mask >>= 8
+    return result
+
+
+def _column_masks(dfa: Dfa) -> set[int]:
+    """Masks of the achievable columns: the finals closed under per-letter preimages."""
+    n = dfa.state_count
+    if n > SUBSET_OP_LIMIT:
+        raise LimitExceededError(
+            f"column enumeration supports at most {SUBSET_OP_LIMIT} states, got {n}"
+        )
+    preimages = []
+    for letter in dfa.alphabet:
+        t = dfa.delta[letter]
+        bits = [0] * n  # bits[j] = mask of the states sent onto state j+1
+        for q in range(1, n + 1):
+            bits[t(q) - 1] |= 1 << (q - 1)
+        preimages.append(_chunk_tables(bits))
+
+    start = _mask_of(dfa.finals)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for col in frontier:
+            for tables in preimages:
+                pre = _apply_tables(col, tables)
+                if pre not in seen:
+                    seen.add(pre)
+                    nxt.append(pre)
+        frontier = nxt
+    return seen
+
+
 def atom_bases_by_reversal(dfa: Dfa) -> frozenset[frozenset[int]]:
     """All achievable columns {q : the word sends q into the finals}.
 
@@ -333,38 +401,7 @@ def atom_bases_by_reversal(dfa: Dfa) -> frozenset[frozenset[int]]:
     state of ``dfa`` is reachable the column count equals the quotient
     complexity of the reversed language.
     """
-    n = dfa.state_count
-    if n > SUBSET_OP_LIMIT:
-        raise LimitExceededError(
-            f"column enumeration supports at most {SUBSET_OP_LIMIT} states, got {n}"
-        )
-    # pre_bits[k][j] = mask of states that letter k sends onto state j+1
-    pre_bits = []
-    for letter in dfa.alphabet:
-        t = dfa.delta[letter]
-        bits = [0] * n
-        for q in range(1, n + 1):
-            bits[t(q) - 1] |= 1 << (q - 1)
-        pre_bits.append(bits)
-
-    start = _mask_of(dfa.finals)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for col in frontier:
-            for bits in pre_bits:
-                pre = 0
-                m = col
-                while m:
-                    low = m & -m
-                    pre |= bits[low.bit_length() - 1]
-                    m ^= low
-                if pre not in seen:
-                    seen.add(pre)
-                    nxt.append(pre)
-        frontier = nxt
-    return frozenset(_set_of(mask) for mask in seen)
+    return frozenset(_set_of(mask) for mask in _column_masks(dfa))
 
 
 def state_language_contains(dfa: Dfa, p: int, q: int) -> bool:

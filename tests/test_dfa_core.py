@@ -56,6 +56,20 @@ def test_dfa_validation():
         Dfa(2, ("a b",), {"a b": t}, 1, frozenset())
 
 
+def test_equal_dfas_hash_equal():
+    assert hash(regular_witness(5)) == hash(regular_witness(5))
+    assert len({regular_witness(5), regular_witness(5), regular_witness(4)}) == 2
+
+
+def test_dfa_delta_is_read_only():
+    delta = {"a": Transformation((2, 1))}
+    d = Dfa(2, ("a",), delta, 1, frozenset({1}))
+    with pytest.raises(TypeError):
+        d.delta["a"] = Transformation.identity(2)
+    delta["a"] = Transformation.identity(2)
+    assert d.delta["a"].image == (2, 1)
+
+
 def test_induced_empty_word_is_identity():
     d = regular_witness(4)
     assert induced_transformation(d, "").is_identity()

@@ -2,6 +2,9 @@ import pytest
 
 from dfatoms import (
     WitnessClass,
+    accepting_sink,
+    bound_for_basis,
+    enumerate_atoms,
     induced_transformation,
     is_left_ideal,
     is_right_ideal,
@@ -131,3 +134,24 @@ def test_witness_dispatcher():
     assert witness(WitnessClass.RIGHT_IDEAL, 3) == right_ideal_witness(3)
     assert witness(WitnessClass.LEFT_IDEAL, 3) == left_ideal_witness(3)
     assert witness(WitnessClass.TWO_SIDED_IDEAL, 3) == two_sided_ideal_witness(3)
+
+
+TIGHTNESS_CELLS = [(WitnessClass.REGULAR, n) for n in range(2, 9)] + [
+    (kind, n)
+    for kind in (WitnessClass.RIGHT_IDEAL, WitnessClass.LEFT_IDEAL, WitnessClass.TWO_SIDED_IDEAL)
+    for n in range(1 if kind is WitnessClass.RIGHT_IDEAL else 2, 10)
+]
+
+
+@pytest.mark.parametrize(
+    "kind, n", TIGHTNESS_CELLS, ids=[f"{kind.value}-{n}" for kind, n in TIGHTNESS_CELLS]
+)
+def test_every_witness_atom_attains_its_bound(kind, n):
+    d = witness(kind, n)
+    sink = accepting_sink(d) or n
+    report = enumerate_atoms(d)
+    assert report.count > 0
+    for info in report.atoms:
+        assert info.complexity == bound_for_basis(kind, n, info.basis, sink=sink), sorted(
+            info.basis
+        )
