@@ -29,8 +29,8 @@ from .dfa import (
     Dfa,
     Transformation,
     _apply_tables,
-    _chunk_tables,
     _column_masks,
+    _image_tables,
     _mask_of,
     _set_of,
     atom_bases_by_reversal,
@@ -77,14 +77,6 @@ def _basis_mask(dfa: Dfa, basis: Iterable[int]) -> int:
     if bad:
         raise InvalidBasisError(f"basis ids {sorted(bad)} not within 1..{n}")
     return _mask_of(members)
-
-
-def _image_tables(dfa: Dfa) -> list[list[list[int]]]:
-    """Per letter, the chunk tables mapping a state mask to its image."""
-    return [
-        _chunk_tables([1 << (t(q) - 1) for q in range(1, dfa.state_count + 1)])
-        for t in (dfa.delta[letter] for letter in dfa.alphabet)
-    ]
 
 
 def _explore(dfa: Dfa, basis_mask: int):

@@ -191,18 +191,7 @@ def induced_transformation(dfa: Dfa, word: Iterable[str]) -> Transformation:
 
 def reachable(dfa: Dfa) -> frozenset[int]:
     """States reachable from the initial state."""
-    seen = {dfa.initial}
-    frontier = [dfa.initial]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for letter in dfa.alphabet:
-                r = dfa.delta[letter](q)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(_reachable_arrays(dfa)[0])
 
 
 def _moore_blocks(count: int, rows: list[list[int]], finals: list[bool]) -> list[int]:
@@ -363,6 +352,14 @@ def _apply_tables(mask: int, tables: list[list[int]]) -> int:
     return result
 
 
+def _image_tables(dfa: Dfa) -> list[list[list[int]]]:
+    """Per letter, the chunk tables mapping a state mask to its image."""
+    return [
+        _chunk_tables([1 << (t(q) - 1) for q in range(1, dfa.state_count + 1)])
+        for t in (dfa.delta[letter] for letter in dfa.alphabet)
+    ]
+
+
 def _column_masks(dfa: Dfa) -> set[int]:
     """Masks of the achievable columns: the finals closed under per-letter preimages."""
     n = dfa.state_count
@@ -404,28 +401,61 @@ def atom_bases_by_reversal(dfa: Dfa) -> frozenset[frozenset[int]]:
     return frozenset(_set_of(mask) for mask in _column_masks(dfa))
 
 
+def _containment_masks(dfa: Dfa) -> list[int]:
+    """Row p-1 is the mask of the states q whose right language contains p's.
+
+    K_p is not within K_q iff some word leads (p, q) to (final, non-final).
+    Those pairs are closed backwards: a worklist of rows carries each row's
+    newly failed q's, and a letter's preimage of them joins the row of every
+    p that the letter sends onto that row.  Each pair meets each letter once,
+    O(n^2 k) in all; neither reachability nor minimality is assumed.
+    """
+    n = dfa.state_count
+    full = (1 << n) - 1
+    fmask = _mask_of(dfa.finals)
+    letters = []  # per letter: (preimage mask of each state, states sent onto it)
+    for letter in dfa.alphabet:
+        preimage = [0] * n
+        sources: list[list[int]] = [[] for _ in range(n)]
+        for p, r in enumerate(dfa.delta[letter].image):
+            preimage[r - 1] |= 1 << p
+            sources[r - 1].append(p)
+        letters.append((preimage, sources))
+
+    bad = [full ^ fmask if fmask >> p & 1 else 0 for p in range(n)]
+    pending = list(bad)
+    work = [p for p in range(n) if pending[p]]
+    while work:
+        r = work.pop()
+        failed, pending[r] = pending[r], 0
+        for preimage, sources in letters:
+            if not sources[r]:
+                continue
+            image = 0
+            m = failed
+            while m:
+                low = m & -m
+                image |= preimage[low.bit_length() - 1]
+                m ^= low
+            for p in sources[r]:
+                new = image & ~bad[p]
+                if new:
+                    bad[p] |= new
+                    if not pending[p]:
+                        work.append(p)
+                    pending[p] |= new
+    return [full ^ row for row in bad]
+
+
 def state_language_contains(dfa: Dfa, p: int, q: int) -> bool:
     """Whether the right language of state p is a subset of that of state q.
 
-    True iff no word leads the pair jointly to (final, non-final); decided by
-    a search over state pairs.
+    True iff no word leads the pair jointly to (final, non-final); read from
+    row p of the table that one backward pass over state pairs builds for
+    the whole DFA.
     """
     n = dfa.state_count
     for s in (p, q):
         if not 1 <= s <= n:
             raise InvalidDfaError(f"state {s} not in 1..{n}")
-    seen = {(p, q)}
-    frontier = [(p, q)]
-    trans = [dfa.delta[letter] for letter in dfa.alphabet]
-    while frontier:
-        nxt = []
-        for sp, sq in frontier:
-            if sp in dfa.finals and sq not in dfa.finals:
-                return False
-            for t in trans:
-                pair = (t(sp), t(sq))
-                if pair not in seen:
-                    seen.add(pair)
-                    nxt.append(pair)
-        frontier = nxt
-    return True
+    return bool(_containment_masks(dfa)[p - 1] >> (q - 1) & 1)

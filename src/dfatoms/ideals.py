@@ -9,7 +9,16 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .dfa import Dfa, Transformation, minimize, state_language_contains
+from .dfa import (
+    Dfa,
+    Transformation,
+    _apply_tables,
+    _containment_masks,
+    _image_tables,
+    _mask_of,
+    _set_of,
+    minimize,
+)
 from .errors import CapExceededError, EmptyLanguageError, NotAnIdealError
 
 DETERMINIZE_CAP = 1 << 16
@@ -41,10 +50,8 @@ def is_right_ideal(dfa: Dfa) -> bool:
 def is_left_ideal(dfa: Dfa) -> bool:
     """True iff every quotient's language contains the whole language."""
     minimal = _minimal_nonempty(dfa)
-    return all(
-        state_language_contains(minimal, minimal.initial, q)
-        for q in range(1, minimal.state_count + 1)
-    )
+    row = _containment_masks(minimal)[minimal.initial - 1]
+    return row == (1 << minimal.state_count) - 1
 
 
 def is_two_sided_ideal(dfa: Dfa) -> bool:
@@ -64,29 +71,17 @@ def _absorb_finals(dfa: Dfa) -> Dfa:
 def _prefix_closure(dfa: Dfa, cap: int) -> Dfa:
     # Determinize the machine that may loop on the initial state before
     # running the original DFA; every subset reached contains the initial.
-    n = dfa.state_count
     init_bit = 1 << (dfa.initial - 1)
-    bits = [
-        [1 << (t(q) - 1) for q in range(1, n + 1)]
-        for t in (dfa.delta[letter] for letter in dfa.alphabet)
-    ]
-    fmask = 0
-    for q in dfa.finals:
-        fmask |= 1 << (q - 1)
+    images = _image_tables(dfa)
 
     subsets = [init_bit]
     index = {init_bit: 0}
-    rows: list[list[int]] = [[] for _ in dfa.alphabet]
+    rows: list[list[int]] = [[] for _ in images]
     pos = 0
     while pos < len(subsets):
         current = subsets[pos]
-        for k in range(len(dfa.alphabet)):
-            image = init_bit
-            m = current
-            while m:
-                low = m & -m
-                image |= bits[k][low.bit_length() - 1]
-                m ^= low
+        for k, tables in enumerate(images):
+            image = init_bit | _apply_tables(current, tables)
             j = index.get(image)
             if j is None:
                 j = len(subsets)
@@ -103,6 +98,7 @@ def _prefix_closure(dfa: Dfa, cap: int) -> Dfa:
         letter: Transformation(tuple(j + 1 for j in rows[k]))
         for k, letter in enumerate(dfa.alphabet)
     }
+    fmask = _mask_of(dfa.finals)
     finals = frozenset(i + 1 for i, s in enumerate(subsets) if s & fmask)
     return minimize(Dfa(len(subsets), dfa.alphabet, delta, 1, finals))
 
@@ -137,43 +133,18 @@ def accepting_sink(dfa: Dfa) -> int | None:
     return None
 
 
-def _containment_table(dfa: Dfa) -> list[list[bool]]:
-    # contains[p-1][q-1]: no word sends (p, q) to (final, non-final).
-    # Computed as a backward fixpoint over state pairs.
-    n = dfa.state_count
-    trans = [dfa.delta[letter] for letter in dfa.alphabet]
-    bad = [[p in dfa.finals and q not in dfa.finals for q in range(1, n + 1)]
-           for p in range(1, n + 1)]
-    changed = True
-    while changed:
-        changed = False
-        for p in range(1, n + 1):
-            for q in range(1, n + 1):
-                if bad[p - 1][q - 1]:
-                    continue
-                for t in trans:
-                    if bad[t(p) - 1][t(q) - 1]:
-                        bad[p - 1][q - 1] = True
-                        changed = True
-                        break
-    return [[not bad[p][q] for q in range(n)] for p in range(n)]
-
-
 def successor_sets(dfa: Dfa) -> dict[int, frozenset[int]]:
     """For each state p, the states whose language strictly contains p's.
 
-    No state is its own successor, and the relation is transitive.  Intended
-    for minimal DFAs, where distinct states have distinct languages.
+    Read from the containment table that one backward pass over state pairs
+    builds for the whole DFA.  No state is its own successor, and the
+    relation is transitive.  Intended for minimal DFAs, where distinct states
+    have distinct languages.
     """
-    n = dfa.state_count
-    contains = _containment_table(dfa)
+    rows = _containment_masks(dfa)
     return {
-        p: frozenset(
-            q
-            for q in range(1, n + 1)
-            if q != p and contains[p - 1][q - 1] and not contains[q - 1][p - 1]
-        )
-        for p in range(1, n + 1)
+        p: frozenset(q for q in _set_of(row) if not rows[q - 1] >> (p - 1) & 1)
+        for p, row in enumerate(rows, start=1)
     }
 
 

@@ -26,8 +26,27 @@ def pair_bfs_distinguishable(dfa, p, q):
     return False
 
 
-def brute_partition(dfa):
-    """Indistinguishability classes of reachable states via pairwise search."""
+def pair_bfs_contains(dfa, p, q):
+    """Whether K_p is a subset of K_q: no word leads (p, q) to (final, non-final)."""
+    seen = {(p, q)}
+    frontier = [(p, q)]
+    while frontier:
+        nxt = []
+        for sp, sq in frontier:
+            if sp in dfa.finals and sq not in dfa.finals:
+                return False
+            for letter in dfa.alphabet:
+                t = dfa.delta[letter]
+                pair = (t.image[sp - 1], t.image[sq - 1])
+                if pair not in seen:
+                    seen.add(pair)
+                    nxt.append(pair)
+        frontier = nxt
+    return True
+
+
+def reached_states(dfa):
+    """States reachable from the initial state, by breadth-first search."""
     reached = {dfa.initial}
     frontier = [dfa.initial]
     while frontier:
@@ -39,8 +58,13 @@ def brute_partition(dfa):
                     reached.add(r)
                     nxt.append(r)
         frontier = nxt
+    return reached
+
+
+def brute_partition(dfa):
+    """Indistinguishability classes of reachable states via pairwise search."""
     classes = []
-    for q in sorted(reached):
+    for q in sorted(reached_states(dfa)):
         for cls in classes:
             if not pair_bfs_distinguishable(dfa, cls[0], q):
                 cls.append(q)

@@ -1,7 +1,8 @@
-"""Property tests over random small DFAs, run deterministically.
+"""Property tests over random DFAs, run deterministically.
 
 The inputs are not minimized and may have unreachable states: the signature
-route rests on the atoms of the state-language list, which every DFA has.
+route rests on the atoms of the state-language list, and the containment
+table on the state languages themselves, which every DFA has.
 """
 
 import pytest
@@ -10,19 +11,32 @@ from hypothesis import strategies as st
 
 from dfatoms import (
     Dfa,
+    EmptyLanguageError,
+    IdealKind,
     NotAnAtomError,
+    RandomSpec,
     Transformation,
     atom_bases_by_reversal,
     atom_complexity,
     build_atom_dfa,
+    idealize,
+    is_left_ideal,
+    is_right_ideal,
+    is_two_sided_ideal,
+    left_ideal_witness,
+    minimize,
     oracle_atom_complexity,
     quotient_complexity,
+    random_dfa,
+    state_language_contains,
+    successor_sets,
 )
+from oracles import pair_bfs_contains, reached_states
 
 
 @st.composite
-def small_dfas(draw):
-    n = draw(st.integers(1, 6))
+def small_dfas(draw, max_states=6):
+    n = draw(st.integers(1, max_states))
     alphabet = ("a", "b", "c")[: draw(st.integers(1, 3))]
     images = st.lists(st.integers(1, n), min_size=n, max_size=n)
     delta = {letter: Transformation(tuple(draw(images))) for letter in alphabet}
@@ -64,3 +78,77 @@ def test_signature_route_agrees_with_moore_and_monoid(dfa):
         expected = oracle_atom_complexity(dfa, basis)
         assert quotient_complexity(build_atom_dfa(dfa, basis)) == expected
         assert atom_complexity(dfa, basis) == expected
+
+
+def check_containment(dfa, every_pair=True):
+    """Compare the containment readers with the pair search; return is_left_ideal."""
+    n = dfa.state_count
+    contains = {
+        (p, q): pair_bfs_contains(dfa, p, q)
+        for p in range(1, n + 1)
+        for q in range(1, n + 1)
+    }
+    pairs = contains if every_pair else [(dfa.initial, q) for q in range(1, n + 1)]
+    for p, q in pairs:
+        assert state_language_contains(dfa, p, q) == contains[p, q]
+    assert successor_sets(dfa) == {
+        p: frozenset(
+            q
+            for q in range(1, n + 1)
+            if q != p and contains[p, q] and not contains[q, p]
+        )
+        for p in range(1, n + 1)
+    }
+    reached = reached_states(dfa)
+    if not any(q in dfa.finals for q in reached):
+        with pytest.raises(EmptyLanguageError):
+            is_left_ideal(dfa)
+        return False
+    left = is_left_ideal(dfa)
+    assert left == all(contains[dfa.initial, q] for q in reached)
+    return left
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@example(DUPLICATED_STATE)
+@example(UNREACHABLE_STATES)
+@example(left_ideal_witness(5))
+@given(small_dfas(max_states=8))
+def test_containment_agrees_with_pair_search(dfa):
+    check_containment(dfa)
+
+
+# Left closures of these have 35, 43, 100, 25 and 18 states, their two-sided
+# closures 4, 2, 13, 2 and 3; the DFAs themselves are not left ideals.
+CLOSURE_SEEDS = (8004, 8015, 8017, 8032, 8035)
+
+
+@pytest.mark.parametrize("seed", CLOSURE_SEEDS)
+def test_containment_on_closures_agrees_with_pair_search(seed):
+    dfa = random_dfa(RandomSpec(10 + seed % 5, 2 + seed % 2, seed=seed))
+    assert check_containment(dfa) is False
+    for kind in (IdealKind.LEFT, IdealKind.TWO_SIDED):
+        closed = idealize(dfa, kind)
+        # Closures are minimal, so successor_sets already covers every pair.
+        assert check_containment(closed, every_pair=False) is True
+
+
+IN_CLASS = {
+    IdealKind.RIGHT: is_right_ideal,
+    IdealKind.LEFT: is_left_ideal,
+    IdealKind.TWO_SIDED: is_two_sided_ideal,
+}
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@example(DUPLICATED_STATE, IdealKind.LEFT)
+@example(UNREACHABLE_STATES, IdealKind.TWO_SIDED)
+@given(small_dfas(), st.sampled_from(IdealKind))
+def test_idealize_lands_in_its_class_and_is_idempotent(dfa, kind):
+    closed = idealize(dfa, kind)
+    if not minimize(dfa).finals:
+        with pytest.raises(EmptyLanguageError):
+            IN_CLASS[kind](closed)
+        return
+    assert IN_CLASS[kind](closed)
+    assert minimize(idealize(closed, kind)) == minimize(closed)
