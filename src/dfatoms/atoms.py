@@ -148,30 +148,16 @@ def reachable_pair_states(dfa: Dfa, basis: Iterable[int]) -> tuple[PairState, ..
 
 
 def is_atom(dfa: Dfa, basis: Iterable[int]) -> bool:
-    """Whether the atomic intersection named by ``basis`` is non-empty."""
-    mask = _basis_mask(dfa, basis)
-    n = dfa.state_count
-    full = (1 << n) - 1
-    fmask = _mask_of(dfa.finals)
-    nfmask = full ^ fmask
-    images = _image_tables(dfa)
+    """Whether the atomic intersection named by ``basis`` is non-empty.
 
-    start = (mask, full ^ mask)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x, y in frontier:
-            if (x & nfmask) == 0 and (y & fmask) == 0:
-                return True
-            for tables in images:
-                nx = _apply_tables(x, tables)
-                ny = _apply_tables(y, tables)
-                if not nx & ny and (nx, ny) not in seen:
-                    seen.add((nx, ny))
-                    nxt.append((nx, ny))
-        frontier = nxt
-    return False
+    The atom of S is non-empty exactly when S is an achievable column.  The
+    only column compatible with the start pair (S, complement of S) is S
+    itself, so the start pair's signature is empty exactly when S is not a
+    column; no pair state is explored.
+    """
+    mask = _basis_mask(dfa, basis)
+    engine = _engine(dfa)
+    return engine.key(mask, engine.full ^ mask) is not None
 
 
 class _QuotientEngine:

@@ -9,6 +9,7 @@ state i is a member), which caps subset-enumerating operations at
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -267,35 +268,24 @@ def minimize(dfa: Dfa) -> Dfa:
     """The minimal DFA for the same language.
 
     States are the indistinguishability classes of the reachable part,
-    renumbered in breadth-first order from the initial class, so two
+    numbered in breadth-first order from the initial class, so two
     language-equal DFAs over the same alphabet minimize to equal values.
+    Moore's blocks are already numbered that way: they are numbered by first
+    appearance over the reachable states in breadth-first order, and a
+    class's successors are first found when its first member is processed.
     """
-    classes = distinguishability_classes(dfa)
-    class_index = {q: k for k, cls in enumerate(classes) for q in cls}
-    rep = [min(cls) for cls in classes]
-
-    start = class_index[dfa.initial]
-    new_id = {start: 1}
-    order = [start]
-    pos = 0
-    while pos < len(order):
-        k = order[pos]
-        for letter in dfa.alphabet:
-            j = class_index[dfa.delta[letter](rep[k])]
-            if j not in new_id:
-                new_id[j] = len(order) + 1
-                order.append(j)
-        pos += 1
-
-    count = len(order)
-    delta = {}
-    for letter in dfa.alphabet:
-        image = [0] * count
-        for k in order:
-            image[new_id[k] - 1] = new_id[class_index[dfa.delta[letter](rep[k])]]
-        delta[letter] = Transformation(tuple(image))
-    finals = frozenset(new_id[k] for k in order if rep[k] in dfa.finals)
-    return Dfa(count, dfa.alphabet, delta, 1, finals)
+    order, rows, final_flags = _reachable_arrays(dfa)
+    blocks = _moore_blocks(len(order), rows, final_flags)
+    firsts: list[int] = []  # firsts[b] is the first state in block b
+    for i, b in enumerate(blocks):
+        if b == len(firsts):
+            firsts.append(i)
+    delta = {
+        letter: Transformation(tuple(blocks[row[i]] + 1 for i in firsts))
+        for letter, row in zip(dfa.alphabet, rows)
+    }
+    finals = frozenset(b + 1 for b, i in enumerate(firsts) if final_flags[i])
+    return Dfa(len(firsts), dfa.alphabet, delta, 1, finals)
 
 
 def transition_semigroup(dfa: Dfa, cap: int) -> frozenset[Transformation]:
@@ -401,14 +391,17 @@ def atom_bases_by_reversal(dfa: Dfa) -> frozenset[frozenset[int]]:
     return frozenset(_set_of(mask) for mask in _column_masks(dfa))
 
 
-def _containment_masks(dfa: Dfa) -> list[int]:
+@functools.lru_cache(maxsize=1)
+def _containment_masks(dfa: Dfa) -> tuple[int, ...]:
     """Row p-1 is the mask of the states q whose right language contains p's.
 
     K_p is not within K_q iff some word leads (p, q) to (final, non-final).
     Those pairs are closed backwards: a worklist of rows carries each row's
     newly failed q's, and a letter's preimage of them joins the row of every
     p that the letter sends onto that row.  Each pair meets each letter once,
-    O(n^2 k) in all; neither reachability nor minimality is assumed.
+    O(n^2 k) in all; neither reachability nor minimality is assumed.  The
+    table is kept for the last DFA asked about, so reading it pair by pair
+    builds it once.
     """
     n = dfa.state_count
     full = (1 << n) - 1
@@ -444,7 +437,7 @@ def _containment_masks(dfa: Dfa) -> list[int]:
                     if not pending[p]:
                         work.append(p)
                     pending[p] |= new
-    return [full ^ row for row in bad]
+    return tuple(full ^ row for row in bad)
 
 
 def state_language_contains(dfa: Dfa, p: int, q: int) -> bool:
@@ -452,7 +445,7 @@ def state_language_contains(dfa: Dfa, p: int, q: int) -> bool:
 
     True iff no word leads the pair jointly to (final, non-final); read from
     row p of the table that one backward pass over state pairs builds for
-    the whole DFA.
+    the whole DFA, once for a run of questions about the same DFA.
     """
     n = dfa.state_count
     for s in (p, q):

@@ -9,11 +9,12 @@ quotient complexity must agree with the pair-automaton route.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .atoms import atom_complexity, enumerate_atoms, is_atom
+from .atoms import _explore, atom_complexity, enumerate_atoms, is_atom
 from .bounds import bound_for_basis
 from .dfa import (
     SUBSET_OP_LIMIT,
@@ -117,19 +118,24 @@ class _MonoidDfa:
         return frozenset(self.columns)
 
 
+@functools.lru_cache(maxsize=1)
+def _monoid(dfa: Dfa) -> _MonoidDfa:
+    return _MonoidDfa(dfa)
+
+
 def oracle_atom_complexity(dfa: Dfa, basis: Iterable[int]) -> int:
     """Atom complexity via the transformation-monoid automaton.
 
     Returns 0 when the basis names an empty intersection (no monoid element
     has that column).  Only supports small state counts; the monoid may hold
-    up to n**n elements.
+    up to n**n elements.  Repeated calls on equal DFAs share one monoid.
     """
     members = frozenset(basis)
     n = dfa.state_count
     bad = [q for q in members if not 1 <= q <= n]
     if bad:
         raise InvalidBasisError(f"basis ids {sorted(bad)} not within 1..{n}")
-    return _MonoidDfa(dfa).complexity_for(members)
+    return _monoid(dfa).complexity_for(members)
 
 
 def reversal_quotient_complexity(dfa: Dfa) -> int:
@@ -206,9 +212,12 @@ class CrossCheckReport:
 def cross_check(dfa: Dfa, description: str = "") -> CrossCheckReport:
     """Compare every atom-related route on one (small) DFA.
 
-    The input is minimized first.  Compares the three basis enumerations
-    (column closure, exhaustive pair-automaton emptiness, monoid columns) and
-    the two complexity routes on every subset of the state set.
+    The input is minimized first.  Compares three independent basis
+    enumerations on every subset of the state set: the column closure, the
+    raw pair automaton (the atom is non-empty exactly when some explored pair
+    state is final) and the monoid columns.  ``is_atom``, which reads the
+    columns, gates the two complexity routes, and the atom count is the
+    number of columns.
     """
     minimal = minimize(dfa)
     n = minimal.state_count
@@ -223,19 +232,17 @@ def cross_check(dfa: Dfa, description: str = "") -> CrossCheckReport:
     checks = []
     for mask in range(1 << n):
         basis = frozenset(q for q in range(1, n + 1) if mask & (1 << (q - 1)))
-        atom = is_atom(minimal, basis)
-        if atom:
+        if any(_explore(minimal, mask)[2]):
             emptiness_bases.add(basis)
-        pair_route = atom_complexity(minimal, basis) if atom else 0
+        pair_route = atom_complexity(minimal, basis) if is_atom(minimal, basis) else 0
         checks.append(BasisCheck(basis, pair_route, monoid.complexity_for(basis)))
     routes_agree = column_bases == frozenset(emptiness_bases) == monoid.bases()
 
-    report = enumerate_atoms(minimal, with_complexities=False)
     return CrossCheckReport(
         description=description or f"dfa(n={dfa.state_count})",
         basis_checks=tuple(checks),
         routes_agree=routes_agree,
-        atom_count=report.count,
+        atom_count=len(column_bases),
         reversal_complexity=reversal_quotient_complexity(minimal),
     )
 

@@ -6,6 +6,8 @@ calls the library operations it is used to verify.
 
 from itertools import product
 
+from dfatoms import Dfa, Transformation
+
 
 def pair_bfs_distinguishable(dfa, p, q):
     """Whether some word separates p and q, by search over state pairs."""
@@ -72,6 +74,28 @@ def brute_partition(dfa):
         else:
             classes.append([q])
     return {frozenset(cls) for cls in classes}
+
+
+def canonical_minimal(dfa):
+    """The minimal DFA: brute-force classes renumbered breadth-first in letter order."""
+    class_of = {q: cls for cls in brute_partition(dfa) for q in cls}
+    number = {class_of[dfa.initial]: 1}
+    order = [class_of[dfa.initial]]
+    for cls in order:
+        q = min(cls)
+        for letter in dfa.alphabet:
+            succ = class_of[dfa.delta[letter].image[q - 1]]
+            if succ not in number:
+                number[succ] = len(order) + 1
+                order.append(succ)
+    delta = {}
+    for letter in dfa.alphabet:
+        image = dfa.delta[letter].image
+        delta[letter] = Transformation(
+            tuple(number[class_of[image[min(cls) - 1]]] for cls in order)
+        )
+    finals = frozenset(number[cls] for cls in order if min(cls) in dfa.finals)
+    return Dfa(len(order), dfa.alphabet, delta, 1, finals)
 
 
 def words_contains(dfa, p, q, max_len):

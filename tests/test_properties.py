@@ -20,6 +20,7 @@ from dfatoms import (
     atom_complexity,
     build_atom_dfa,
     idealize,
+    is_atom,
     is_left_ideal,
     is_right_ideal,
     is_two_sided_ideal,
@@ -31,7 +32,7 @@ from dfatoms import (
     state_language_contains,
     successor_sets,
 )
-from oracles import pair_bfs_contains, reached_states
+from oracles import canonical_minimal, pair_bfs_contains, reached_states
 
 
 @st.composite
@@ -78,6 +79,49 @@ def test_signature_route_agrees_with_moore_and_monoid(dfa):
         expected = oracle_atom_complexity(dfa, basis)
         assert quotient_complexity(build_atom_dfa(dfa, basis)) == expected
         assert atom_complexity(dfa, basis) == expected
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@example(DUPLICATED_STATE)
+@example(UNREACHABLE_STATES)
+@given(small_dfas())
+def test_is_atom_agrees_with_pair_automaton_and_monoid(dfa):
+    for mask in range(1 << dfa.state_count):
+        basis = frozenset(q for q in range(1, dfa.state_count + 1) if mask >> (q - 1) & 1)
+        atom = is_atom(dfa, basis)
+        assert atom == any(build_atom_dfa(dfa, basis).finals)
+        # The monoid oracle returns 0 exactly when no element has column S.
+        assert atom == (oracle_atom_complexity(dfa, basis) != 0)
+
+
+def relabel(dfa, perm):
+    """The same DFA with state q renamed perm[q - 1]."""
+    delta = {}
+    for letter in dfa.alphabet:
+        image = [0] * dfa.state_count
+        for q, r in enumerate(dfa.delta[letter].image, start=1):
+            image[perm[q - 1] - 1] = perm[r - 1]
+        delta[letter] = Transformation(tuple(image))
+    finals = frozenset(perm[q - 1] for q in dfa.finals)
+    return Dfa(dfa.state_count, dfa.alphabet, delta, perm[dfa.initial - 1], finals)
+
+
+@st.composite
+def relabelled_dfas(draw):
+    dfa = draw(small_dfas(max_states=8))
+    return dfa, draw(st.permutations(range(1, dfa.state_count + 1)))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@example((DUPLICATED_STATE, (2, 1, 4, 3)))
+@example((UNREACHABLE_STATES, (4, 3, 1, 2)))
+@example((left_ideal_witness(5), (5, 4, 3, 2, 1)))
+@given(relabelled_dfas())
+def test_minimize_is_canonical(dfa_and_perm):
+    dfa, perm = dfa_and_perm
+    minimal = minimize(dfa)
+    assert minimal == canonical_minimal(dfa)
+    assert minimize(relabel(dfa, perm)) == minimal
 
 
 def check_containment(dfa, every_pair=True):
@@ -131,6 +175,13 @@ def test_containment_on_closures_agrees_with_pair_search(seed):
         closed = idealize(dfa, kind)
         # Closures are minimal, so successor_sets already covers every pair.
         assert check_containment(closed, every_pair=False) is True
+
+
+def test_containment_on_every_pair_of_a_large_closure():
+    dfa = random_dfa(RandomSpec(12, 3, seed=8017))
+    closed = idealize(dfa, IdealKind.LEFT)
+    assert closed.state_count == 100
+    assert check_containment(closed, every_pair=True) is True
 
 
 IN_CLASS = {
