@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from .dfa import (
     SUBSET_OP_LIMIT,
     Dfa,
-    Transformation,
     _apply_tables,
+    _array_dfa,
     _column_masks,
+    _discover,
     _image_tables,
     _mask_of,
     _set_of,
@@ -85,39 +86,24 @@ def _explore(dfa: Dfa, basis_mask: int):
     Returns (pairs, rows, finals): pairs in discovery order with None for the
     sink, 0-based transition rows per letter, and per-state finality flags.
     """
-    n = dfa.state_count
-    full = (1 << n) - 1
+    full = (1 << dfa.state_count) - 1
     fmask = _mask_of(dfa.finals)
-    nfmask = full ^ fmask
     images = _image_tables(dfa)
 
-    start = (basis_mask, full ^ basis_mask)
-    pairs: list[tuple[int, int] | None] = [start]
-    index: dict[tuple[int, int] | None, int] = {start: 0}
-    rows: list[list[int]] = [[] for _ in images]
-    finals: list[bool] = []
+    def step(pair):
+        if pair is None:
+            return [None] * len(images)
+        x, y = pair
+        successors = []
+        for tables in images:
+            nx = _apply_tables(x, tables)
+            ny = _apply_tables(y, tables)
+            successors.append(None if nx & ny else (nx, ny))
+        return successors
 
-    pos = 0
-    while pos < len(pairs):
-        state = pairs[pos]
-        if state is None:
-            finals.append(False)
-            for row in rows:
-                row.append(pos)
-        else:
-            x, y = state
-            finals.append((x & nfmask) == 0 and (y & fmask) == 0)
-            for k, tables in enumerate(images):
-                nx = _apply_tables(x, tables)
-                ny = _apply_tables(y, tables)
-                key = None if nx & ny else (nx, ny)
-                j = index.get(key)
-                if j is None:
-                    j = len(pairs)
-                    index[key] = j
-                    pairs.append(key)
-                rows[k].append(j)
-        pos += 1
+    start = (basis_mask, full ^ basis_mask)
+    pairs, rows = _discover(start, step, len(images))
+    finals = [p is not None and not p[0] & ~fmask and not p[1] & fmask for p in pairs]
     return pairs, rows, finals
 
 
@@ -127,20 +113,13 @@ def build_atom_dfa(dfa: Dfa, basis: Iterable[int]) -> Dfa:
     Its start state is the pair (S, complement of S); state i of the result
     is the i-th pair state discovered, as reported by ``reachable_pair_states``.
     """
-    mask = _basis_mask(dfa, basis)
-    pairs, rows, finals = _explore(dfa, mask)
-    delta = {
-        letter: Transformation(tuple(j + 1 for j in rows[k]))
-        for k, letter in enumerate(dfa.alphabet)
-    }
-    final_ids = frozenset(i + 1 for i, f in enumerate(finals) if f)
-    return Dfa(len(pairs), dfa.alphabet, delta, 1, final_ids)
+    _, rows, finals = _explore(dfa, _basis_mask(dfa, basis))
+    return _array_dfa(dfa.alphabet, rows, finals)
 
 
 def reachable_pair_states(dfa: Dfa, basis: Iterable[int]) -> tuple[PairState, ...]:
     """Pair-state labels of ``build_atom_dfa`` in state order."""
-    mask = _basis_mask(dfa, basis)
-    pairs, _, _ = _explore(dfa, mask)
+    pairs, _, _ = _explore(dfa, _basis_mask(dfa, basis))
     return tuple(
         PairState.bottom() if p is None else PairState(_set_of(p[0]), _set_of(p[1]))
         for p in pairs
@@ -267,7 +246,6 @@ def atom_complexity(dfa: Dfa, basis: Iterable[int]) -> int:
 @dataclass(frozen=True)
 class AtomInfo:
     basis: frozenset[int]
-    is_atom: bool
     complexity: int | None
 
 
@@ -280,7 +258,7 @@ class AtomReport:
 
     @property
     def count(self) -> int:
-        return sum(1 for info in self.atoms if info.is_atom)
+        return len(self.atoms)
 
 
 def enumerate_atoms(dfa: Dfa, with_complexities: bool = True) -> AtomReport:
@@ -296,11 +274,7 @@ def enumerate_atoms(dfa: Dfa, with_complexities: bool = True) -> AtomReport:
         minimal = dfa
     bases = sorted(atom_bases_by_reversal(minimal), key=lambda s: (len(s), sorted(s)))
     infos = tuple(
-        AtomInfo(
-            basis,
-            True,
-            atom_complexity(minimal, basis) if with_complexities else None,
-        )
+        AtomInfo(basis, atom_complexity(minimal, basis) if with_complexities else None)
         for basis in bases
     )
     return AtomReport(minimal.state_count, infos)

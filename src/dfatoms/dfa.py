@@ -219,26 +219,51 @@ def _moore_blocks(count: int, rows: list[list[int]], finals: list[bool]) -> list
         block_count = len(table)
 
 
+def _discover(start, step, letters: int, cap: int | None = None):
+    """Breadth-first numbering of the nodes reachable from ``start``.
+
+    ``step(node)`` lists the node's successor under each of the ``letters``
+    letters.  Returns the nodes in discovery order and, per letter, the
+    0-based row of successor indices.  More than ``cap`` nodes raise
+    ``CapExceededError`` with the count so far.  This one loop builds the
+    reachable part of a DFA (``_reachable_arrays``), an atom's pair automaton
+    (``atoms._explore``) and a prefix closure's subset automaton
+    (``ideals._prefix_closure``).  The column and semigroup closures and the
+    quotient-key walk need no rows, and the harness oracles keep their own
+    searches to stay independent of the code they check.
+    """
+    nodes = [start]
+    index = {start: 0}
+    rows: list[list[int]] = [[] for _ in range(letters)]
+    for node in nodes:
+        for row, succ in zip(rows, step(node)):
+            j = index.get(succ)
+            if j is None:
+                j = len(nodes)
+                if cap is not None and j >= cap:
+                    raise CapExceededError(f"determinization exceeds cap {cap}", j + 1)
+                index[succ] = j
+                nodes.append(succ)
+            row.append(j)
+    return nodes, rows
+
+
+def _array_dfa(alphabet: tuple[str, ...], rows: list[list[int]], finals: list) -> Dfa:
+    """The DFA of 0-based ``rows``: node i becomes state i + 1, final when
+    ``finals[i]`` is truthy, and state 1 is initial."""
+    delta = {
+        letter: Transformation(tuple(j + 1 for j in row))
+        for letter, row in zip(alphabet, rows)
+    }
+    final_ids = frozenset(i + 1 for i, f in enumerate(finals) if f)
+    return Dfa(len(finals), alphabet, delta, 1, final_ids)
+
+
 def _reachable_arrays(dfa: Dfa) -> tuple[list[int], list[list[int]], list[bool]]:
     """Restrict to reachable states, in 0-based array form (BFS order from initial)."""
-    order = [dfa.initial]
-    index = {dfa.initial: 0}
-    trans = [dfa.delta[letter] for letter in dfa.alphabet]
-    rows: list[list[int]] = [[] for _ in trans]
-    pos = 0
-    while pos < len(order):
-        q = order[pos]
-        for k, t in enumerate(trans):
-            r = t(q)
-            j = index.get(r)
-            if j is None:
-                j = len(order)
-                index[r] = j
-                order.append(r)
-            rows[k].append(j)
-        pos += 1
-    final_flags = [q in dfa.finals for q in order]
-    return order, rows, final_flags
+    images = [dfa.delta[letter].image for letter in dfa.alphabet]
+    order, rows = _discover(dfa.initial, lambda q: [t[q - 1] for t in images], len(images))
+    return order, rows, [q in dfa.finals for q in order]
 
 
 def distinguishability_classes(dfa: Dfa) -> tuple[frozenset[int], ...]:
@@ -280,12 +305,11 @@ def minimize(dfa: Dfa) -> Dfa:
     for i, b in enumerate(blocks):
         if b == len(firsts):
             firsts.append(i)
-    delta = {
-        letter: Transformation(tuple(blocks[row[i]] + 1 for i in firsts))
-        for letter, row in zip(dfa.alphabet, rows)
-    }
-    finals = frozenset(b + 1 for b, i in enumerate(firsts) if final_flags[i])
-    return Dfa(len(firsts), dfa.alphabet, delta, 1, finals)
+    return _array_dfa(
+        dfa.alphabet,
+        [[blocks[row[i]] for i in firsts] for row in rows],
+        [final_flags[i] for i in firsts],
+    )
 
 
 def transition_semigroup(dfa: Dfa, cap: int) -> frozenset[Transformation]:

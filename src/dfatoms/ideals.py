@@ -13,13 +13,15 @@ from .dfa import (
     Dfa,
     Transformation,
     _apply_tables,
+    _array_dfa,
     _containment_masks,
+    _discover,
     _image_tables,
     _mask_of,
     _set_of,
     minimize,
 )
-from .errors import CapExceededError, EmptyLanguageError, NotAnIdealError
+from .errors import EmptyLanguageError, NotAnIdealError
 
 DETERMINIZE_CAP = 1 << 16
 
@@ -73,34 +75,14 @@ def _prefix_closure(dfa: Dfa, cap: int) -> Dfa:
     # running the original DFA; every subset reached contains the initial.
     init_bit = 1 << (dfa.initial - 1)
     images = _image_tables(dfa)
-
-    subsets = [init_bit]
-    index = {init_bit: 0}
-    rows: list[list[int]] = [[] for _ in images]
-    pos = 0
-    while pos < len(subsets):
-        current = subsets[pos]
-        for k, tables in enumerate(images):
-            image = init_bit | _apply_tables(current, tables)
-            j = index.get(image)
-            if j is None:
-                j = len(subsets)
-                if j + 1 > cap:
-                    raise CapExceededError(
-                        f"determinization exceeds cap {cap}", j + 1
-                    )
-                index[image] = j
-                subsets.append(image)
-            rows[k].append(j)
-        pos += 1
-
-    delta = {
-        letter: Transformation(tuple(j + 1 for j in rows[k]))
-        for k, letter in enumerate(dfa.alphabet)
-    }
+    subsets, rows = _discover(
+        init_bit,
+        lambda s: [init_bit | _apply_tables(s, tables) for tables in images],
+        len(images),
+        cap,
+    )
     fmask = _mask_of(dfa.finals)
-    finals = frozenset(i + 1 for i, s in enumerate(subsets) if s & fmask)
-    return minimize(Dfa(len(subsets), dfa.alphabet, delta, 1, finals))
+    return minimize(_array_dfa(dfa.alphabet, rows, [s & fmask for s in subsets]))
 
 
 def idealize(dfa: Dfa, kind: IdealKind, cap: int = DETERMINIZE_CAP) -> Dfa:

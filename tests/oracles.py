@@ -98,6 +98,41 @@ def canonical_minimal(dfa):
     return Dfa(len(order), dfa.alphabet, delta, 1, finals)
 
 
+def pair_automaton(dfa, basis):
+    """The atom's pair automaton by breadth-first search over frozenset pairs.
+
+    The start pair is (S, complement of S); a pair whose images collide
+    becomes the sink None, which loops on every letter.  States are numbered
+    in discovery order with letters in alphabet order.  Returns the DFA and
+    the pair of each of its states, in state order.
+    """
+    basis = frozenset(basis)
+    start = (basis, frozenset(range(1, dfa.state_count + 1)) - basis)
+    number = {start: 1}
+    order = [start]
+    images = {letter: [] for letter in dfa.alphabet}
+    for pair in order:
+        for letter in dfa.alphabet:
+            succ = None
+            if pair is not None:
+                image = dfa.delta[letter].image
+                x = frozenset(image[q - 1] for q in pair[0])
+                y = frozenset(image[q - 1] for q in pair[1])
+                if not x & y:
+                    succ = (x, y)
+            if succ not in number:
+                number[succ] = len(order) + 1
+                order.append(succ)
+            images[letter].append(number[succ])
+    finals = frozenset(
+        number[pair]
+        for pair in order
+        if pair is not None and pair[0] <= dfa.finals and not pair[1] & dfa.finals
+    )
+    delta = {letter: Transformation(tuple(images[letter])) for letter in dfa.alphabet}
+    return Dfa(len(order), dfa.alphabet, delta, 1, finals), order
+
+
 def words_contains(dfa, p, q, max_len):
     """K_p subset of K_q, checked over every word up to max_len."""
     for length in range(max_len + 1):

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from dfatoms import (
+    CapExceededError,
     Dfa,
     EmptyLanguageError,
     IdealKind,
@@ -174,3 +177,21 @@ def test_refined_bound_brackets_the_atom():
 
 def test_one_state_two_sided_bound():
     assert refined_two_sided_bound(accept_all()) == 1
+
+
+# Random 14-state DFAs whose left and two-sided closures both determinize to
+# more than one subset (96 to 213 before minimizing).
+@pytest.mark.parametrize("seed", (3, 7, 9, 12))
+@pytest.mark.parametrize("kind", (IdealKind.LEFT, IdealKind.TWO_SIDED))
+def test_determinization_cap_is_exact(seed, kind):
+    dfa = random_dfa(RandomSpec(14, 2 + seed % 2, seed))
+    for cap in itertools.count(1):
+        try:
+            closed = idealize(dfa, kind, cap=cap)
+        except CapExceededError as error:
+            assert error.partial == cap + 1
+            assert str(error) == f"determinization exceeds cap {cap}"
+        else:
+            break
+    assert cap > 1
+    assert closed == idealize(dfa, kind)

@@ -27,12 +27,15 @@ from dfatoms import (
     left_ideal_witness,
     minimize,
     oracle_atom_complexity,
+    parse_dfa,
     quotient_complexity,
     random_dfa,
+    reachable_pair_states,
+    render_dfa,
     state_language_contains,
     successor_sets,
 )
-from oracles import canonical_minimal, pair_bfs_contains, reached_states
+from oracles import canonical_minimal, pair_automaton, pair_bfs_contains, reached_states
 
 
 @st.composite
@@ -92,6 +95,19 @@ def test_is_atom_agrees_with_pair_automaton_and_monoid(dfa):
         assert atom == any(build_atom_dfa(dfa, basis).finals)
         # The monoid oracle returns 0 exactly when no element has column S.
         assert atom == (oracle_atom_complexity(dfa, basis) != 0)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@example(DUPLICATED_STATE)
+@example(UNREACHABLE_STATES)
+@given(small_dfas())
+def test_pair_automaton_numbering_matches_oracle(dfa):
+    for mask in range(1 << dfa.state_count):
+        basis = frozenset(q for q in range(1, dfa.state_count + 1) if mask >> (q - 1) & 1)
+        expected, order = pair_automaton(dfa, basis)
+        assert build_atom_dfa(dfa, basis) == expected
+        labels = reachable_pair_states(dfa, basis)
+        assert [None if p.is_bottom else (p.x, p.y) for p in labels] == order
 
 
 def relabel(dfa, perm):
@@ -203,3 +219,10 @@ def test_idealize_lands_in_its_class_and_is_idempotent(dfa, kind):
         return
     assert IN_CLASS[kind](closed)
     assert minimize(idealize(closed, kind)) == minimize(closed)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@example(Dfa(2, ("a",), {"a": Transformation((2, 1))}, 2, frozenset()))
+@given(small_dfas())
+def test_render_then_parse_is_identity(dfa):
+    assert parse_dfa(render_dfa(dfa)) == dfa
