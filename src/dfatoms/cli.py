@@ -243,10 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DfatomsError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except OSError as error:
+    except (DfatomsError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

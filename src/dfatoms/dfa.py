@@ -195,28 +195,23 @@ def reachable(dfa: Dfa) -> frozenset[int]:
     return frozenset(_reachable_arrays(dfa)[0])
 
 
-def _moore_blocks(count: int, rows: list[list[int]], finals: list[bool]) -> list[int]:
+def _moore_blocks(rows: list[list[int]], finals: list[bool]) -> list[int]:
     """Moore partition refinement on a 0-based array automaton.
 
     ``rows[k][i]`` is the successor of state i under letter k.  Returns a dense
     block id per state; two states share a block iff they are indistinguishable.
+    Ids are numbered by first appearance over the states, which ``minimize``
+    relies on for its breadth-first numbering.
     """
     block = [1 if f else 0 for f in finals]
-    block_count = len(set(block))
+    count = len(set(block))
     while True:
-        table: dict[tuple[int, ...], int] = {}
-        new = [0] * count
-        for i in range(count):
-            sig = (block[i],) + tuple(block[row[i]] for row in rows)
-            b = table.get(sig)
-            if b is None:
-                b = len(table)
-                table[sig] = b
-            new[i] = b
-        if len(table) == block_count:
+        maps = [[block[j] for j in row] for row in rows]
+        ids: dict[tuple[int, ...], int] = {}
+        new = [ids.setdefault(sig, len(ids)) for sig in zip(block, *maps)]
+        if len(ids) == count:
             return new
-        block = new
-        block_count = len(table)
+        block, count = new, len(ids)
 
 
 def _discover(start, step, letters: int, cap: int | None = None):
@@ -274,7 +269,7 @@ def distinguishability_classes(dfa: Dfa) -> tuple[frozenset[int], ...]:
     Classes are returned sorted by their smallest member.
     """
     order, rows, final_flags = _reachable_arrays(dfa)
-    blocks = _moore_blocks(len(order), rows, final_flags)
+    blocks = _moore_blocks(rows, final_flags)
     grouped: dict[int, list[int]] = {}
     for i, b in enumerate(blocks):
         grouped.setdefault(b, []).append(order[i])
@@ -284,9 +279,9 @@ def distinguishability_classes(dfa: Dfa) -> tuple[frozenset[int], ...]:
 
 def quotient_complexity(dfa: Dfa) -> int:
     """Number of indistinguishability classes among reachable states."""
-    order, rows, final_flags = _reachable_arrays(dfa)
-    blocks = _moore_blocks(len(order), rows, final_flags)
-    return max(blocks) + 1 if blocks else 0
+    _, rows, final_flags = _reachable_arrays(dfa)
+    blocks = _moore_blocks(rows, final_flags)
+    return max(blocks) + 1
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -299,8 +294,8 @@ def minimize(dfa: Dfa) -> Dfa:
     appearance over the reachable states in breadth-first order, and a
     class's successors are first found when its first member is processed.
     """
-    order, rows, final_flags = _reachable_arrays(dfa)
-    blocks = _moore_blocks(len(order), rows, final_flags)
+    _, rows, final_flags = _reachable_arrays(dfa)
+    blocks = _moore_blocks(rows, final_flags)
     firsts: list[int] = []  # firsts[b] is the first state in block b
     for i, b in enumerate(blocks):
         if b == len(firsts):

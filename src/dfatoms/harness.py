@@ -104,14 +104,13 @@ class _MonoidDfa:
             [index[tuple(g.image[q - 1] for q in t.image)] for t in self.elements]
             for g in generators
         ]
-        self.initial = index[Transformation.identity(n).image]
         self.columns = [_column(t, dfa.finals) for t in self.elements]
 
     def complexity_for(self, basis: frozenset[int]) -> int:
         finals = [col == basis for col in self.columns]
         if not any(finals):
             return 0
-        blocks = _moore_blocks(len(self.elements), self.rows, finals)
+        blocks = _moore_blocks(self.rows, finals)
         return max(blocks) + 1
 
     def bases(self) -> frozenset[frozenset[int]]:

@@ -7,6 +7,7 @@ The predicates work on the minimized automaton and reject the empty language.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 
 from .dfa import (
@@ -32,7 +33,10 @@ class IdealKind(Enum):
     TWO_SIDED = "two-sided"
 
 
+@functools.lru_cache(maxsize=1)
 def _minimal_nonempty(dfa: Dfa) -> Dfa:
+    """The minimal DFA, kept for the last DFA asked about, so the predicates
+    and the refined bound minimize it once."""
     minimal = minimize(dfa)
     if not minimal.finals:
         raise EmptyLanguageError("the empty language belongs to no ideal class")
@@ -141,7 +145,7 @@ def refined_two_sided_bound(dfa: Dfa) -> int:
     """
     if not is_two_sided_ideal(dfa):
         raise NotAnIdealError("refined bound requires a two-sided ideal")
-    minimal = minimize(dfa)
+    minimal = _minimal_nonempty(dfa)
     n = minimal.state_count
     if n == 1:
         return 1

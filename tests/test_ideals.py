@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from dfatoms import ideals
+from dfatoms.cli import main
 from dfatoms import (
     CapExceededError,
     Dfa,
@@ -22,6 +24,7 @@ from dfatoms import (
     random_dfa,
     refined_two_sided_bound,
     regular_witness,
+    render_dfa,
     right_ideal_witness,
     successor_sets,
     two_sided_ideal_witness,
@@ -177,6 +180,27 @@ def test_refined_bound_brackets_the_atom():
 
 def test_one_state_two_sided_bound():
     assert refined_two_sided_bound(accept_all()) == 1
+
+
+def test_each_dfa_is_minimized_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(dfa):
+        calls.append(dfa)
+        return minimize(dfa)
+
+    monkeypatch.setattr(ideals, "minimize", counting)
+    target = tmp_path / "ts6.dfa"
+    target.write_text(render_dfa(two_sided_ideal_witness(6)))
+    ideals._minimal_nonempty.cache_clear()
+    assert main(["check-ideal", "--dfa", str(target)]) == 0
+    assert capsys.readouterr().out == "right\ttrue\nleft\ttrue\ntwo-sided\ttrue\n"
+    assert len(calls) == 1
+
+    calls.clear()
+    ideals._minimal_nonempty.cache_clear()
+    assert refined_two_sided_bound(two_sided_ideal_witness(7)) == 38
+    assert len(calls) == 1
 
 
 # Random 14-state DFAs whose left and two-sided closures both determinize to
