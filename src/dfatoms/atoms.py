@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .dfa import (
     SUBSET_OP_LIMIT,
     Dfa,
+    _Frozen,
     _apply_tables,
     _array_dfa,
     _column_masks,
@@ -40,17 +40,13 @@ from .dfa import (
 from .errors import InvalidBasisError, LimitExceededError, NotAnAtomError
 
 
-@dataclass(frozen=True)
-class PairState:
+class PairState(_Frozen):
     """A state of an atom DFA: either a disjoint pair (X, Y) or the sink."""
 
-    x: frozenset[int]
-    y: frozenset[int]
-    is_bottom: bool = False
+    __slots__ = ("x", "y", "is_bottom")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", frozenset(self.x))
-        object.__setattr__(self, "y", frozenset(self.y))
+    def __init__(self, x: Iterable[int], y: Iterable[int], is_bottom: bool = False) -> None:
+        self._fill(frozenset(x), frozenset(y), is_bottom)
         if self.is_bottom:
             if self.x or self.y:
                 raise ValueError("the sink pair state carries no subsets")
@@ -243,18 +239,20 @@ def atom_complexity(dfa: Dfa, basis: Iterable[int]) -> int:
     return complexity
 
 
-@dataclass(frozen=True)
-class AtomInfo:
-    basis: frozenset[int]
-    complexity: int | None
+class AtomInfo(_Frozen):
+    __slots__ = ("basis", "complexity")
+
+    def __init__(self, basis: frozenset[int], complexity: int | None) -> None:
+        self._fill(basis, complexity)
 
 
-@dataclass(frozen=True)
-class AtomReport:
+class AtomReport(_Frozen):
     """All atoms of a language, with optional per-atom complexity."""
 
-    state_count: int
-    atoms: tuple[AtomInfo, ...]
+    __slots__ = ("state_count", "atoms")
+
+    def __init__(self, state_count: int, atoms: tuple[AtomInfo, ...]) -> None:
+        self._fill(state_count, atoms)
 
     @property
     def count(self) -> int:

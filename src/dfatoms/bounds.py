@@ -7,9 +7,9 @@ basis has the given size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
+from .dfa import _Frozen
 from .witnesses import WitnessClass
 
 TABLE_N_LIMIT = 12
@@ -109,16 +109,17 @@ def bound_for_basis(
     return atom_complexity_bound(kind, n, size)
 
 
-@dataclass(frozen=True)
-class BoundsTable:
+class BoundsTable(_Frozen):
     """Per-size bounds for one class and complexity, plus the max and the
     growth ratio against the previous complexity."""
 
-    kind: WitnessClass
-    n: int
-    rows: tuple[int | None, ...]
-    max_value: int
-    ratio: float | None
+    __slots__ = ("kind", "n", "rows", "max_value", "ratio")
+
+    def __init__(
+        self, kind: WitnessClass, n: int, rows: tuple[int | None, ...],
+        max_value: int, ratio: float | None,
+    ) -> None:
+        self._fill(kind, n, rows, max_value, ratio)
 
 
 def build_table(kind: WitnessClass, n_max: int) -> tuple[BoundsTable, ...]:

@@ -10,8 +10,8 @@ state i is a member), which caps subset-enumerating operations at
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import (
@@ -42,20 +42,71 @@ def _set_of(mask: int) -> frozenset[int]:
     return frozenset(members)
 
 
-@dataclass(frozen=True)
-class Transformation:
+class _Frozen:
+    """Base of the immutable value types: slotted, compared and hashed by value.
+
+    A subclass lists its fields in ``__slots__`` in the order its ``__init__``
+    takes them, and sets them there with ``_fill``; after that, assignment and
+    deletion raise ``AttributeError``.  Equality, hashing, ``repr`` and
+    ``__reduce__`` (so ``copy`` and ``pickle``) read the fields through one
+    ``attrgetter`` per class, and values of different classes are never equal.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        get = operator.attrgetter(*cls.__slots__)
+        if len(cls.__slots__) == 1:  # one name gives the bare value, not a 1-tuple
+            get = lambda obj, one=get: (one(obj),)
+        cls._values = staticmethod(get)
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _immutable(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._values(self))
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class Transformation(_Frozen):
     """A total map of {1..n} into itself; ``image[i-1]`` is the image of state i."""
 
-    image: tuple[int, ...]
+    __slots__ = ("image",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "image", tuple(self.image))
-        n = len(self.image)
+    def __init__(self, image: Iterable[int]) -> None:
+        image = tuple(image)
+        n = len(image)
         if n == 0:
             raise InvalidDfaError("a transformation must act on at least one state")
-        for i, q in enumerate(self.image, start=1):
+        for i, q in enumerate(image, start=1):
             if not isinstance(q, int) or not 1 <= q <= n:
                 raise InvalidDfaError(f"image of state {i} is {q!r}, not in 1..{n}")
+        object.__setattr__(self, "image", image)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.image == other.image
+
+    def __hash__(self) -> int:
+        return hash(self.image)
 
     @property
     def size(self) -> int:
@@ -104,8 +155,7 @@ def compose(first: Transformation, second: Transformation) -> Transformation:
     return Transformation(tuple(second.image[q - 1] for q in first.image))
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(_Frozen):
     """A complete DFA: one transformation per letter, an initial state, finals.
 
     Immutable after construction: ``delta`` is a read-only view of a private
@@ -113,16 +163,14 @@ class Dfa:
     on it are pure functions.
     """
 
-    state_count: int
-    alphabet: tuple[str, ...]
-    delta: Mapping[str, Transformation]
-    initial: int
-    finals: frozenset[int]
+    __slots__ = ("state_count", "alphabet", "delta", "initial", "finals")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "delta", MappingProxyType(dict(self.delta)))
-        object.__setattr__(self, "finals", frozenset(self.finals))
+    def __init__(
+        self, state_count: int, alphabet: Iterable[str],
+        delta: Mapping[str, Transformation], initial: int, finals: Iterable[int],
+    ) -> None:
+        delta = MappingProxyType(dict(delta))
+        self._fill(state_count, tuple(alphabet), delta, initial, frozenset(finals))
         n = self.state_count
         if n < 1:
             raise InvalidDfaError("state count must be positive")
@@ -161,6 +209,10 @@ class Dfa:
                 self.finals,
             )
         )
+
+    def __reduce__(self):
+        n, alphabet, delta, initial, finals = self._values(self)
+        return Dfa, (n, alphabet, dict(delta), initial, finals)
 
     def transformation(self, letter: str) -> Transformation:
         try:

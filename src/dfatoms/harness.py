@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .atoms import _explore, atom_complexity, enumerate_atoms, is_atom
 from .bounds import bound_for_basis
@@ -20,13 +19,14 @@ from .dfa import (
     SUBSET_OP_LIMIT,
     Dfa,
     Transformation,
+    _Frozen,
     _moore_blocks,
     atom_bases_by_reversal,
     minimize,
     quotient_complexity,
     transition_semigroup,
 )
-from .errors import InvalidBasisError, LimitExceededError
+from .errors import DfatomsError, InvalidBasisError, LimitExceededError
 from .ideals import IdealKind, accepting_sink, idealize
 from .witnesses import WitnessClass, witness
 
@@ -34,8 +34,7 @@ ORACLE_STATE_LIMIT = 6
 _LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
-class RandomSpec:
+class RandomSpec(_Frozen):
     """Seeded recipe for one random complete DFA.
 
     Generation is a pure function of the seed: a Mersenne Twister
@@ -45,12 +44,12 @@ class RandomSpec:
     neither empty nor everything.  A one-state DFA gets final set {1}.
     """
 
-    state_count: int
-    letters: int
-    seed: int
-    final_density: float = 0.5
+    __slots__ = ("state_count", "letters", "seed", "final_density")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, state_count: int, letters: int, seed: int, final_density: float = 0.5
+    ) -> None:
+        self._fill(state_count, letters, seed, final_density)
         if self.state_count < 1:
             raise ValueError("state_count must be at least 1")
         if not 1 <= self.letters <= len(_LETTER_NAMES):
@@ -178,26 +177,29 @@ def reversal_quotient_complexity(dfa: Dfa) -> int:
     return quotient_complexity(Dfa(len(subsets), dfa.alphabet, delta, 1, finals))
 
 
-@dataclass(frozen=True)
-class BasisCheck:
-    basis: frozenset[int]
-    pair_route: int
-    oracle_route: int
+class BasisCheck(_Frozen):
+    __slots__ = ("basis", "pair_route", "oracle_route")
+
+    def __init__(self, basis: frozenset[int], pair_route: int, oracle_route: int) -> None:
+        self._fill(basis, pair_route, oracle_route)
 
     @property
     def match(self) -> bool:
         return self.pair_route == self.oracle_route
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(_Frozen):
     """Agreement report between the pair-automaton route and the oracles."""
 
-    description: str
-    basis_checks: tuple[BasisCheck, ...]
-    routes_agree: bool
-    atom_count: int
-    reversal_complexity: int
+    __slots__ = (
+        "description", "basis_checks", "routes_agree", "atom_count", "reversal_complexity"
+    )
+
+    def __init__(
+        self, description: str, basis_checks: tuple[BasisCheck, ...], routes_agree: bool,
+        atom_count: int, reversal_complexity: int,
+    ) -> None:
+        self._fill(description, basis_checks, routes_agree, atom_count, reversal_complexity)
 
     @property
     def passed(self) -> bool:
@@ -246,19 +248,22 @@ def cross_check(dfa: Dfa, description: str = "") -> CrossCheckReport:
     )
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(_Frozen):
     """Outcome of a randomized bound-saturation sweep for one class."""
 
-    kind: WitnessClass
-    n: int
-    samples: int
-    seed: int
-    checked: int
-    max_observed: dict[int, int]
-    violations: tuple[str, ...]
-    witness_attains: bool
-    skipped: tuple[str, ...]
+    __slots__ = (
+        "kind", "n", "samples", "seed", "checked",
+        "max_observed", "violations", "witness_attains", "skipped",
+    )
+
+    def __init__(
+        self, kind: WitnessClass, n: int, samples: int, seed: int, checked: int,
+        max_observed: dict[int, int], violations: tuple[str, ...], witness_attains: bool,
+        skipped: tuple[str, ...],
+    ) -> None:
+        self._fill(
+            kind, n, samples, seed, checked, max_observed, violations, witness_attains, skipped
+        )
 
     @property
     def passed(self) -> bool:
@@ -316,7 +321,8 @@ def bound_sweep(kind: WitnessClass, n: int, samples: int, seed: int) -> SweepRep
         for info in enumerate_atoms(minimal).atoms:
             size = len(info.basis)
             bound = bound_for_basis(kind, m, info.basis, sink=sink or m)
-            assert info.complexity is not None
+            if info.complexity is None:
+                raise DfatomsError(f"{label}: basis {sorted(info.basis)} has no complexity")
             if bound is None or info.complexity > bound:
                 violations.append(
                     f"{label}: basis {sorted(info.basis)} complexity "

@@ -1,6 +1,7 @@
 import pytest
 
 from dfatoms import (
+    DfatomsError,
     IdealKind,
     LimitExceededError,
     RandomSpec,
@@ -8,6 +9,7 @@ from dfatoms import (
     atom_bases_by_reversal,
     bound_sweep,
     cross_check,
+    enumerate_atoms,
     idealize,
     minimize,
     oracle_atom_complexity,
@@ -17,6 +19,7 @@ from dfatoms import (
     right_ideal_witness,
     witness,
 )
+from dfatoms import harness
 
 
 def test_random_dfa_is_deterministic():
@@ -123,3 +126,12 @@ def test_bound_sweep_right_ideals():
 def test_bound_sweep_rejects_large_n():
     with pytest.raises(ValueError):
         bound_sweep(WitnessClass.REGULAR, 8, samples=1, seed=0)
+
+
+def test_bound_sweep_raises_typed_error_on_missing_complexity(monkeypatch):
+    def without_complexities(dfa):
+        return enumerate_atoms(dfa, with_complexities=False)
+
+    monkeypatch.setattr(harness, "enumerate_atoms", without_complexities)
+    with pytest.raises(DfatomsError, match="has no complexity"):
+        bound_sweep(WitnessClass.REGULAR, 3, samples=1, seed=0)
