@@ -364,20 +364,23 @@ def transition_semigroup(dfa: Dfa, cap: int) -> frozenset[Transformation]:
 
     The identity appears only if some non-empty word induces it.  Raises
     ``CapExceededError`` as soon as more than ``cap`` elements are found;
-    the error carries the partial count.
+    the error carries the partial count.  The closure runs breadth-first over
+    raw image tuples, composing through generators padded to 1-based
+    indexing, and wraps each element in a ``Transformation`` once, at the end.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    generators = [dfa.delta[letter] for letter in dfa.alphabet]
-    seen = set(generators)
+    images = [dfa.delta[letter].image for letter in dfa.alphabet]
+    padded = [(0, *image) for image in images]  # padded[k][q] is letter k's image of q
+    seen = set(images)
     if len(seen) > cap:
         raise CapExceededError(f"transition semigroup exceeds cap {cap}", len(seen))
     frontier = list(seen)
     while frontier:
         nxt = []
         for t in frontier:
-            for g in generators:
-                c = compose(t, g)
+            for g in padded:
+                c = tuple(map(g.__getitem__, t))
                 if c not in seen:
                     seen.add(c)
                     if len(seen) > cap:
@@ -386,10 +389,10 @@ def transition_semigroup(dfa: Dfa, cap: int) -> frozenset[Transformation]:
                         )
                     nxt.append(c)
         frontier = nxt
-    return frozenset(seen)
+    return frozenset(map(Transformation, seen))
 
 
-def _chunk_tables(bits: list[int]) -> list[list[int]]:
+def _chunk_tables(bits: list[int]) -> tuple[tuple[int, ...], ...]:
     """Lookup tables for the union of ``bits[i]`` over the members i+1 of a mask.
 
     There is one table per 8-bit chunk of the mask, indexed by the chunk's
@@ -401,11 +404,11 @@ def _chunk_tables(bits: list[int]) -> list[list[int]]:
         for value in range(1, len(table)):
             low = value & -value
             table[value] = table[value ^ low] | bits[base + low.bit_length() - 1]
-        tables.append(table)
-    return tables
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
-def _apply_tables(mask: int, tables: list[list[int]]) -> int:
+def _apply_tables(mask: int, tables: tuple[tuple[int, ...], ...]) -> int:
     result = 0
     for table in tables:
         result |= table[mask & 255]
@@ -413,12 +416,16 @@ def _apply_tables(mask: int, tables: list[list[int]]) -> int:
     return result
 
 
-def _image_tables(dfa: Dfa) -> list[list[list[int]]]:
-    """Per letter, the chunk tables mapping a state mask to its image."""
-    return [
-        _chunk_tables([1 << (t(q) - 1) for q in range(1, dfa.state_count + 1)])
-        for t in (dfa.delta[letter] for letter in dfa.alphabet)
-    ]
+@functools.lru_cache(maxsize=1)
+def _image_tables(dfa: Dfa) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per letter, the chunk tables mapping a state mask to its image.
+
+    Cached per DFA: an atom's pair search runs once per basis on one DFA.
+    """
+    return tuple(
+        _chunk_tables([1 << (q - 1) for q in dfa.delta[letter].image])
+        for letter in dfa.alphabet
+    )
 
 
 def _column_masks(dfa: Dfa) -> set[int]:

@@ -4,7 +4,10 @@ The atom-complexity oracle never builds the pair automaton: it runs the DFA
 whose states are the word-induced transformations (identity plus the
 transition semigroup) and accepts exactly when the current transformation's
 column equals the requested basis.  That DFA recognizes the same atom, so its
-quotient complexity must agree with the pair-automaton route.
+quotient complexity must agree with the pair-automaton route.  Moore
+refinement runs only on its live part, the elements from which some word
+reaches an accepting one; the dead elements all recognize the empty
+language, so they are one quotient and are refined as a single sink.
 """
 
 from __future__ import annotations
@@ -81,12 +84,13 @@ def random_dfa(spec: RandomSpec) -> Dfa:
     return Dfa(n, names, delta, 1, finals)
 
 
-def _column(t: Transformation, finals: frozenset[int]) -> frozenset[int]:
-    return frozenset(q for q in range(1, t.size + 1) if t(q) in finals)
-
-
 class _MonoidDfa:
-    """The transformation-monoid automaton of a DFA, finals left open."""
+    """The transformation-monoid automaton of a DFA, finals left open.
+
+    Elements are raw image tuples in sorted order; ``rows[k][i]`` is element
+    i followed by letter k, and ``preds[j]`` lists the elements some letter
+    sends to element j.
+    """
 
     def __init__(self, dfa: Dfa):
         n = dfa.state_count
@@ -94,22 +98,51 @@ class _MonoidDfa:
             raise LimitExceededError(
                 f"monoid oracle supports at most {ORACLE_STATE_LIMIT} states, got {n}"
             )
-        elements = {Transformation.identity(n)}
-        elements.update(transition_semigroup(dfa, cap=n**n))
-        self.elements = sorted(elements, key=lambda t: t.image)
-        index = {t.image: i for i, t in enumerate(self.elements)}
-        generators = [dfa.delta[letter] for letter in dfa.alphabet]
-        self.rows = [
-            [index[tuple(g.image[q - 1] for q in t.image)] for t in self.elements]
-            for g in generators
+        semigroup = {t.image for t in transition_semigroup(dfa, cap=n**n)}
+        elements = sorted(semigroup | {tuple(range(1, n + 1))})
+        index = {t: i for i, t in enumerate(elements)}
+        padded = [(0, *dfa.delta[letter].image) for letter in dfa.alphabet]
+        self.rows = [[index[tuple(map(g.__getitem__, t))] for t in elements] for g in padded]
+        self.preds: list[list[int]] = [[] for _ in elements]
+        for row in self.rows:
+            for i, j in enumerate(row):
+                self.preds[j].append(i)
+        self.columns = [
+            frozenset(q for q, r in enumerate(t, start=1) if r in dfa.finals)
+            for t in elements
         ]
-        self.columns = [_column(t, dfa.finals) for t in self.elements]
 
     def complexity_for(self, basis: frozenset[int]) -> int:
+        """Quotient complexity of the atom of ``basis``; 0 when it is empty.
+
+        Moore refines only the live elements, those from which some word
+        reaches a final element.  Every dead element recognizes the empty
+        language, so together they are one quotient: their in-edges go to a
+        single non-final sink state.  Every element is reachable from the
+        identity, which is live whenever the atom is non-empty, so that empty
+        quotient counts exactly when a dead element exists.
+        """
         finals = [col == basis for col in self.columns]
-        if not any(finals):
+        live = [i for i, final in enumerate(finals) if final]
+        if not live:
             return 0
-        blocks = _moore_blocks(self.rows, finals)
+        seen = finals[:]
+        for i in live:  # closes backwards, appending to ``live`` as it goes
+            for p in self.preds[i]:
+                if not seen[p]:
+                    seen[p] = True
+                    live.append(p)
+        sink = len(live)
+        number = [sink] * len(finals)
+        for new, i in enumerate(live):
+            number[i] = new
+        rows = [[number[row[i]] for i in live] for row in self.rows]
+        live_finals = [finals[i] for i in live]
+        if sink < len(finals):
+            for row in rows:
+                row.append(sink)
+            live_finals.append(False)
+        blocks = _moore_blocks(rows, live_finals)
         return max(blocks) + 1
 
     def bases(self) -> frozenset[frozenset[int]]:

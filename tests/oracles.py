@@ -4,6 +4,7 @@ Everything here works on raw Dfa fields with its own search code; none of it
 calls the library operations it is used to verify.
 """
 
+from functools import lru_cache
 from itertools import product
 
 from dfatoms import Dfa, Transformation
@@ -193,6 +194,44 @@ def column_of(dfa, word):
         if s in dfa.finals:
             members.add(q)
     return frozenset(members)
+
+
+@lru_cache(maxsize=1)
+def _monoid_automaton(dfa):
+    """Sorted monoid elements and, per element, its successor index per letter."""
+    n = dfa.state_count
+    elems = sorted({tuple(range(1, n + 1))} | brute_semigroup(dfa))
+    index = {t: i for i, t in enumerate(elems)}
+    gens = [dfa.delta[letter].image for letter in dfa.alphabet]
+    succ = [[index[tuple(g[i - 1] for i in t)] for g in gens] for t in elems]
+    return elems, succ
+
+
+def monoid_moore_complexity(dfa, basis):
+    """Atom complexity by Moore refinement over the whole monoid automaton.
+
+    The states are the identity and every element of the transition
+    semigroup, as raw tuples; reading a letter composes its image on the
+    right, and a state is final when its column equals the basis.  Every
+    element is refined, dead or live.  Returns 0 for a non-atom.
+    """
+    basis = frozenset(basis)
+    n = dfa.state_count
+    elems, succ = _monoid_automaton(dfa)
+    block = [
+        frozenset(q for q in range(1, n + 1) if t[q - 1] in dfa.finals) == basis
+        for t in elems
+    ]
+    if not any(block):
+        return 0
+    count = len(set(block))
+    while True:
+        signatures = [(block[i], *(block[j] for j in succ[i])) for i in range(len(elems))]
+        ids = {}
+        block = [ids.setdefault(sig, len(ids)) for sig in signatures]
+        if len(ids) == count:
+            return count
+        count = len(ids)
 
 
 def monoid_row_atom_complexity(dfa, basis):

@@ -1,10 +1,12 @@
 import pytest
 
 from dfatoms import (
+    Dfa,
     DfatomsError,
     IdealKind,
     LimitExceededError,
     RandomSpec,
+    Transformation,
     WitnessClass,
     atom_bases_by_reversal,
     bound_sweep,
@@ -20,6 +22,7 @@ from dfatoms import (
     witness,
 )
 from dfatoms import harness
+from oracles import brute_semigroup
 
 
 def test_random_dfa_is_deterministic():
@@ -102,6 +105,46 @@ def test_cross_check_idealized_random_dfas():
 def test_cross_check_rejects_large_inputs():
     with pytest.raises(LimitExceededError):
         cross_check(regular_witness(7))
+
+
+def record_refined_states(monkeypatch):
+    """Route the monoid oracle's Moore runs through a recorder of their state counts."""
+    sizes = []
+    moore = harness._moore_blocks
+
+    def recording(rows, finals):
+        sizes.append(len(finals))
+        return moore(rows, finals)
+
+    monkeypatch.setattr(harness, "_moore_blocks", recording)
+    return sizes
+
+
+# States that Moore refinement over the whole monoid, once per atom, visits.
+UNTRIMMED_STATES = {3: 28_532, 13: 33_448}
+
+
+@pytest.mark.parametrize("seed", sorted(UNTRIMMED_STATES))
+def test_cross_check_refines_only_the_live_monoid(monkeypatch, seed):
+    sizes = record_refined_states(monkeypatch)
+    dfa = random_dfa(RandomSpec(6, 3, seed))
+    assert cross_check(dfa).passed
+    minimal = minimize(dfa)
+    monoid = {tuple(range(1, minimal.state_count + 1))} | brute_semigroup(minimal)
+    assert len(sizes) * len(monoid) == UNTRIMMED_STATES[seed]
+    assert sum(sizes) <= 0.3 * UNTRIMMED_STATES[seed]
+
+
+def test_oracle_refines_every_element_when_none_is_dead(monkeypatch):
+    # The monoid is the symmetric group on three states, so every element
+    # reaches every column of size 1 and no sink state is added.
+    generators = {"a": Transformation.cycle(3, (1, 2, 3)), "b": Transformation.cycle(3, (1, 2))}
+    dfa = Dfa(3, ("a", "b"), generators, 1, frozenset({1}))
+    sizes = record_refined_states(monkeypatch)
+    # The quotient after u depends only on where u sends state 1.
+    assert [oracle_atom_complexity(dfa, {q}) for q in (1, 2, 3)] == [3, 3, 3]
+    assert oracle_atom_complexity(dfa, {1, 2}) == 0
+    assert sizes == [6, 6, 6]
 
 
 def test_bound_sweep_two_sided():

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfatoms import (
+    CapExceededError,
     Dfa,
     EmptyLanguageError,
     IdealKind,
@@ -31,11 +32,21 @@ from dfatoms import (
     quotient_complexity,
     random_dfa,
     reachable_pair_states,
+    regular_witness,
     render_dfa,
     state_language_contains,
     successor_sets,
+    transition_semigroup,
 )
-from oracles import canonical_minimal, pair_automaton, pair_bfs_contains, reached_states
+from oracles import (
+    brute_semigroup,
+    canonical_minimal,
+    monoid_moore_complexity,
+    monoid_row_atom_complexity,
+    pair_automaton,
+    pair_bfs_contains,
+    reached_states,
+)
 
 
 @st.composite
@@ -108,6 +119,54 @@ def test_pair_automaton_numbering_matches_oracle(dfa):
         assert build_atom_dfa(dfa, basis) == expected
         labels = reachable_pair_states(dfa, basis)
         assert [None if p.is_bottom else (p.x, p.y) for p in labels] == order
+
+
+# The monoid is the symmetric group on three states: from any element some
+# word reaches every column of the finals' size, so no element is dead.
+PERMUTATION_DFA = Dfa(
+    3,
+    ("a", "b"),
+    {"a": Transformation((2, 3, 1)), "b": Transformation((2, 1, 3))},
+    1,
+    frozenset({1}),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@example(DUPLICATED_STATE)
+@example(UNREACHABLE_STATES)
+@example(PERMUTATION_DFA)
+@given(small_dfas())
+def test_trimmed_monoid_oracle_agrees_with_whole_monoid(dfa):
+    for mask in range(1 << dfa.state_count):
+        basis = frozenset(q for q in range(1, dfa.state_count + 1) if mask >> (q - 1) & 1)
+        expected = monoid_moore_complexity(dfa, basis)
+        assert oracle_atom_complexity(dfa, basis) == expected
+        # Row comparison is quadratic in the monoid, which reaches hundreds
+        # of elements at 5 and 6 states.
+        if dfa.state_count <= 4:
+            assert monoid_row_atom_complexity(dfa, basis) == expected
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@example(DUPLICATED_STATE)
+@example(UNREACHABLE_STATES)
+@example(PERMUTATION_DFA)
+@given(small_dfas())
+def test_semigroup_agrees_with_brute_closure(dfa):
+    n = dfa.state_count
+    assert {t.image for t in transition_semigroup(dfa, n**n)} == brute_semigroup(dfa)
+
+
+@pytest.mark.parametrize("dfa", [regular_witness(4), left_ideal_witness(4), DUPLICATED_STATE])
+def test_semigroup_cap_below_size_raises_with_partial_count(dfa):
+    size = len(brute_semigroup(dfa))
+    letters = len({t.image for t in dfa.delta.values()})
+    for cap in range(1, size):
+        with pytest.raises(CapExceededError, match=f"^transition semigroup exceeds cap {cap}$") as info:
+            transition_semigroup(dfa, cap)
+        # The distinct letter images are all counted before the cap is checked.
+        assert info.value.partial == max(cap + 1, letters)
 
 
 def relabel(dfa, perm):
