@@ -15,6 +15,17 @@ from .witnesses import WitnessClass
 TABLE_N_LIMIT = 12
 
 
+# Per class, the two fixed states that set its bounds apart from the regular
+# ones, as 0 or 1: whether the accepting sink lies in every atom's basis, and
+# whether the initial state (state 1) lies in no basis except Q.
+_FIXED = {
+    WitnessClass.REGULAR: (0, 0),
+    WitnessClass.RIGHT_IDEAL: (1, 0),
+    WitnessClass.LEFT_IDEAL: (0, 1),
+    WitnessClass.TWO_SIDED_IDEAL: (1, 1),
+}
+
+
 def _check(n: int, size: int) -> None:
     if n < 1:
         raise ValueError("complexity n must be at least 1")
@@ -23,89 +34,61 @@ def _check(n: int, size: int) -> None:
 
 
 def max_atom_count(kind: WitnessClass, n: int) -> int:
-    """Largest possible number of atoms for a language of complexity n."""
-    if n < 1:
-        raise ValueError("complexity n must be at least 1")
+    """Largest possible number of atoms for a language of complexity n:
+    every basis that holds the fixed sink and avoids the fixed initial state,
+    plus the basis Q when the initial state is fixed."""
+    _check(n, 0)
     if n == 1:
         return 1
-    if kind is WitnessClass.REGULAR:
-        return 1 << n
-    if kind is WitnessClass.RIGHT_IDEAL:
-        return 1 << (n - 1)
-    if kind is WitnessClass.LEFT_IDEAL:
-        return (1 << (n - 1)) + 1
-    return (1 << (n - 2)) + 1
+    sink, init = _FIXED[kind]
+    return (1 << (n - sink - init)) + init
 
 
-def _pair_sum(n: int, size: int, x_ways, y_ways) -> int:
-    return sum(
-        x_ways(n, x) * y_ways(n, x, y)
+def atom_complexity_bound(kind: WitnessClass, n: int, size: int) -> int | None:
+    """Maximal complexity of an atom with a basis of the given size, or None
+    when the class admits no such atom.
+
+    State 1 is initial.  A proper size s gets 1 plus the number of disjoint
+    nonempty (X, Y) with |X| <= s and |Y| <= n - s, where X holds the
+    accepting sink and Y the initial state whenever the class fixes them:
+    1 + sum_{x=1..s} sum_{y=1..n-s} C(n-sink-init, x-sink) * C(n-x-init, y-init).
+    """
+    _check(n, size)
+    sink, init = _FIXED[kind]
+    # An empty or full basis counts the nonempty Y, or X, that hold the fixed state.
+    if size == 0:
+        return None if sink else (1 << (n - init)) - 1 + init
+    if size == n:
+        return n if init else (1 << (n - sink)) - 1 + sink
+    if sink and init and size == n - 1:
+        return (1 << (n - 2)) + n - 1
+    return 1 + sum(
+        comb(n - sink - init, x - sink) * comb(n - x - init, y - init)
         for x in range(1, size + 1)
         for y in range(1, n - size + 1)
     )
 
 
-def atom_complexity_bound(kind: WitnessClass, n: int, size: int) -> int | None:
-    """Maximal complexity of an atom with a basis of the given size, or None
-    when the class admits no such atom."""
-    _check(n, size)
-    if kind is WitnessClass.REGULAR:
-        if size in (0, n):
-            return (1 << n) - 1
-        return 1 + _pair_sum(
-            n, size, lambda n, x: comb(n, x), lambda n, x, y: comb(n - x, y)
-        )
-    if kind is WitnessClass.RIGHT_IDEAL:
-        if size == 0:
-            return None
-        if size == n:
-            return 1 << (n - 1)
-        return 1 + _pair_sum(
-            n, size, lambda n, x: comb(n - 1, x - 1), lambda n, x, y: comb(n - x, y)
-        )
-    if kind is WitnessClass.LEFT_IDEAL:
-        if size == 0:
-            return 1 << (n - 1)
-        if size == n:
-            return n
-        return 1 + _pair_sum(
-            n, size, lambda n, x: comb(n - 1, x), lambda n, x, y: comb(n - x - 1, y - 1)
-        )
-    # two-sided ideals
-    if size == 0:
-        return None
-    if size == n:
-        return n
-    if size == n - 1:
-        return (1 << (n - 2)) + n - 1
-    return 1 + _pair_sum(
-        n, size, lambda n, x: comb(n - 2, x - 1), lambda n, x, y: comb(n - x - 1, y - 1)
-    )
-
-
 def bound_for_basis(
-    kind: WitnessClass, n: int, basis: frozenset[int] | set[int],
-    initial: int = 1, sink: int | None = None,
+    kind: WitnessClass, n: int, basis: frozenset[int] | set[int], *,
+    sink: int | None = None,
 ) -> int | None:
     """Complexity bound for one concrete basis, or None when the class rules
     out an atom with that basis.
 
     Right and two-sided ideals require the accepting sink in the basis; left
-    and two-sided ideals require the initial state absent unless the basis is
-    the full state set.  ``sink`` defaults to state n.
+    and two-sided ideals require the initial state, state 1, absent unless
+    the basis is the full state set.  ``sink`` defaults to state n.  Any
+    other basis gets ``atom_complexity_bound`` for its size.
     """
     basis = frozenset(basis)
     size = len(basis)
     _check(n, size)
-    if sink is None:
-        sink = n
-    full = size == n
-    if kind in (WitnessClass.RIGHT_IDEAL, WitnessClass.TWO_SIDED_IDEAL):
-        if sink not in basis:
-            return None
-    if kind in (WitnessClass.LEFT_IDEAL, WitnessClass.TWO_SIDED_IDEAL):
-        if initial in basis and not full:
-            return None
+    has_sink, has_init = _FIXED[kind]
+    if has_sink and (n if sink is None else sink) not in basis:
+        return None
+    if has_init and 1 in basis and size != n:
+        return None
     return atom_complexity_bound(kind, n, size)
 
 

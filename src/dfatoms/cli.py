@@ -83,10 +83,11 @@ def _cmd_atoms(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     kind = WitnessClass(args.cls)
+    count = max_atom_count(kind, args.n)
+    values = [atom_complexity_bound(kind, args.n, s) for s in range(args.n + 1)]
     print(f"class\t{kind.value}")
     print(f"n\t{args.n}")
-    print(f"max-atoms\t{max_atom_count(kind, args.n)}")
-    values = [atom_complexity_bound(kind, args.n, s) for s in range(args.n + 1)]
+    print(f"max-atoms\t{count}")
     for s, value in enumerate(values):
         print(f"{s}\t{'*' if value is None else value}")
     print(f"max\t{max(v for v in values if v is not None)}")
@@ -149,6 +150,17 @@ def _cmd_idealize(args: argparse.Namespace) -> int:
     closed = idealize(dfa, IdealKind(args.kind))
     _write(render_dfa(closed), args.out)
     return 0
+
+
+def _count(arg: str) -> int:
+    """A non-negative int for argparse, which turns a bad one into exit 2."""
+    try:
+        value = int(arg)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {arg!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
@@ -226,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crosscheck", help="randomized oracle agreement run")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--letters", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_count, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_crosscheck)
 

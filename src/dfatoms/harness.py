@@ -303,13 +303,6 @@ class SweepReport(_Frozen):
         return not self.violations
 
 
-_IDEALIZE_FOR = {
-    WitnessClass.RIGHT_IDEAL: IdealKind.RIGHT,
-    WitnessClass.LEFT_IDEAL: IdealKind.LEFT,
-    WitnessClass.TWO_SIDED_IDEAL: IdealKind.TWO_SIDED,
-}
-
-
 def _sweep_witness(kind: WitnessClass, n: int) -> Dfa:
     if n == 1:
         return Dfa(1, ("a",), {"a": Transformation.identity(1)}, 1, frozenset({1}))
@@ -340,7 +333,7 @@ def bound_sweep(kind: WitnessClass, n: int, samples: int, seed: int) -> SweepRep
         if kind is WitnessClass.REGULAR:
             closed = instance
         else:
-            closed = idealize(instance, _IDEALIZE_FOR[kind])
+            closed = idealize(instance, IdealKind(kind.value))
         minimal = minimize(closed)
         m = minimal.state_count
         if not minimal.finals:
@@ -353,7 +346,7 @@ def bound_sweep(kind: WitnessClass, n: int, samples: int, seed: int) -> SweepRep
         checked += 1
         for info in enumerate_atoms(minimal).atoms:
             size = len(info.basis)
-            bound = bound_for_basis(kind, m, info.basis, sink=sink or m)
+            bound = bound_for_basis(kind, m, info.basis, sink=sink)
             if info.complexity is None:
                 raise DfatomsError(f"{label}: basis {sorted(info.basis)} has no complexity")
             if bound is None or info.complexity > bound:

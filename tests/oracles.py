@@ -6,6 +6,7 @@ calls the library operations it is used to verify.
 
 from functools import lru_cache
 from itertools import product
+from math import comb
 
 from dfatoms import Dfa, Transformation
 
@@ -258,3 +259,50 @@ def monoid_row_atom_complexity(dfa, basis):
         for t in ordered
     }
     return len(rows)
+
+
+def _double_sum(n, size, term):
+    return 1 + sum(
+        term(x, y) for x in range(1, size + 1) for y in range(1, n - size + 1)
+    )
+
+
+def paper_atom_complexity_bound(kind_name, n, size):
+    """The paper's closed form for one class (by its enum value), each class
+    written out as its own double sum with its own special cells."""
+    if kind_name == "regular":
+        if size in (0, n):
+            return 2**n - 1
+        return _double_sum(n, size, lambda x, y: comb(n, x) * comb(n - x, y))
+    if kind_name == "right":
+        if size == 0:
+            return None
+        if size == n:
+            return 2 ** (n - 1)
+        return _double_sum(n, size, lambda x, y: comb(n - 1, x - 1) * comb(n - x, y))
+    if kind_name == "left":
+        if size == 0:
+            return 2 ** (n - 1)
+        if size == n:
+            return n
+        return _double_sum(n, size, lambda x, y: comb(n - 1, x) * comb(n - x - 1, y - 1))
+    assert kind_name == "two-sided"
+    if size == 0:
+        return None
+    if size == n:
+        return n
+    if size == n - 1:
+        return 2 ** (n - 2) + n - 1
+    return _double_sum(n, size, lambda x, y: comb(n - 2, x - 1) * comb(n - x - 1, y - 1))
+
+
+def paper_max_atom_count(kind_name, n):
+    """The paper's maximal number of atoms for one class (by its enum value)."""
+    if n == 1:
+        return 1
+    return {
+        "regular": 2**n,
+        "right": 2 ** (n - 1),
+        "left": 2 ** (n - 1) + 1,
+        "two-sided": 2 ** (n - 2) + 1,
+    }[kind_name]

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from dfatoms import (
@@ -8,6 +10,7 @@ from dfatoms import (
     max_atom_count,
     symmetry_check,
 )
+from oracles import paper_atom_complexity_bound, paper_max_atom_count
 
 TS = WitnessClass.TWO_SIDED_IDEAL
 LEFT = WitnessClass.LEFT_IDEAL
@@ -118,3 +121,38 @@ def test_build_table_rows_and_ratios():
     ts_tables = build_table(TS, 9)
     assert ts_tables[8].max_value == 1710
     assert ts_tables[3].rows == (None, 5, 8, 7, 4)
+
+
+@pytest.mark.parametrize("kind", list(WitnessClass))
+def test_bounds_equal_the_per_class_double_sums(kind):
+    for n in range(1, 41):
+        assert max_atom_count(kind, n) == paper_max_atom_count(kind.value, n), n
+        for s in range(n + 1):
+            assert atom_complexity_bound(kind, n, s) == paper_atom_complexity_bound(
+                kind.value, n, s
+            ), (n, s)
+
+
+@pytest.mark.parametrize("kind", list(WitnessClass))
+def test_bound_for_basis_equals_brute_admissibility(kind):
+    """A basis is admissible when it holds the accepting sink (right and
+    two-sided ideals) and, unless it is the full set, avoids the initial
+    state 1 (left and two-sided ideals)."""
+    needs_sink = kind.value in ("right", "two-sided")
+    avoids_initial = kind.value in ("left", "two-sided")
+    for n in range(1, 8):
+        states = range(1, n + 1)
+        for size in range(n + 1):
+            for basis in combinations(states, size):
+                for sink in (None, *states):
+                    admissible = not (
+                        (needs_sink and (n if sink is None else sink) not in basis)
+                        or (avoids_initial and 1 in basis and size < n)
+                    )
+                    expected = (
+                        paper_atom_complexity_bound(kind.value, n, size)
+                        if admissible else None
+                    )
+                    assert bound_for_basis(kind, n, basis, sink=sink) == expected, (
+                        n, basis, sink,
+                    )

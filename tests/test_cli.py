@@ -178,3 +178,22 @@ def test_output_is_deterministic(capsys):
     first = run(capsys, "table", "--compare", "--max-n", "6")
     second = run(capsys, "table", "--compare", "--max-n", "6")
     assert first == second
+
+
+def test_crosscheck_rejects_negative_samples(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["crosscheck", "--n", "3", "--letters", "2", "--samples", "-1", "--seed", "1"])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+    code, out, _ = run(
+        capsys, "crosscheck", "--n", "3", "--letters", "2", "--samples", "0", "--seed", "1",
+    )
+    assert (code, out) == (0, "passed 0/0\n")
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_bounds_with_bad_n_writes_nothing_to_stdout(capsys, n):
+    code, out, err = run(capsys, "bounds", "--class", "regular", "--n", n)
+    assert code == 1
+    assert out == ""
+    assert err == "error: complexity n must be at least 1\n"
