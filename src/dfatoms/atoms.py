@@ -16,6 +16,19 @@ pair: every state inside all compatible columns and every state outside all
 of them.  That pair has the same signature, so it both names the quotient and
 yields its successors.  Nothing here needs the DFA to be minimal or every
 state to be reachable.
+
+Both walks, over pair states and over quotient keys, pack a pair (X, Y) of
+state masks into one int ``X | Y << n``, the sink or the empty quotient
+being None.  Per letter, one chain of chunk-table lookups
+(``dfa._pair_tables``) maps both halves at once, and the images collide
+exactly when ``image & full & image >> n`` is non-zero.  The quotient walk
+canonicalizes a key's image only when it must:
+
+- an image already seen in the walk is a key, and canonicalizing is
+  idempotent (it keeps the compatible columns), so a key is its own key;
+- an image under a permutation a of Q is a key: T -> a^-1(T) is a bijection
+  of the columns, so the columns compatible with (a(X), a(Y)) are the
+  a-images of those compatible with (X, Y).
 """
 
 from __future__ import annotations
@@ -31,8 +44,8 @@ from .dfa import (
     _array_dfa,
     _column_masks,
     _discover,
-    _image_tables,
     _mask_of,
+    _pair_tables,
     _set_of,
     atom_bases_by_reversal,
     minimize,
@@ -79,27 +92,27 @@ def _basis_mask(dfa: Dfa, basis: Iterable[int]) -> int:
 def _explore(dfa: Dfa, basis_mask: int):
     """Breadth-first exploration of the pair automaton for a basis.
 
-    Returns (pairs, rows, finals): pairs in discovery order with None for the
-    sink, 0-based transition rows per letter, and per-state finality flags.
+    Returns (pairs, rows, finals): pairs in discovery order, each packed as
+    one int ``X | Y << n`` with None for the sink, 0-based transition rows per
+    letter, and per-state finality flags.
     """
-    full = (1 << dfa.state_count) - 1
+    n = dfa.state_count
+    full = (1 << n) - 1
     fmask = _mask_of(dfa.finals)
-    images = _image_tables(dfa)
+    letters = _pair_tables(dfa)
 
     def step(pair):
         if pair is None:
-            return [None] * len(images)
-        x, y = pair
+            return [None] * len(letters)
         successors = []
-        for tables in images:
-            nx = _apply_tables(x, tables)
-            ny = _apply_tables(y, tables)
-            successors.append(None if nx & ny else (nx, ny))
+        for tables in letters:
+            image = _apply_tables(pair, tables)
+            successors.append(None if image & full & image >> n else image)
         return successors
 
-    start = (basis_mask, full ^ basis_mask)
-    pairs, rows = _discover(start, step, len(images))
-    finals = [p is not None and not p[0] & ~fmask and not p[1] & fmask for p in pairs]
+    start = basis_mask | (full ^ basis_mask) << n
+    pairs, rows = _discover(start, step, len(letters))
+    finals = [p is not None and not p & full & ~fmask and not p >> n & fmask for p in pairs]
     return pairs, rows, finals
 
 
@@ -115,9 +128,11 @@ def build_atom_dfa(dfa: Dfa, basis: Iterable[int]) -> Dfa:
 
 def reachable_pair_states(dfa: Dfa, basis: Iterable[int]) -> tuple[PairState, ...]:
     """Pair-state labels of ``build_atom_dfa`` in state order."""
+    n = dfa.state_count
+    full = (1 << n) - 1
     pairs, _, _ = _explore(dfa, _basis_mask(dfa, basis))
     return tuple(
-        PairState.bottom() if p is None else PairState(_set_of(p[0]), _set_of(p[1]))
+        PairState.bottom() if p is None else PairState(_set_of(p & full), _set_of(p >> n))
         for p in pairs
     )
 
@@ -143,6 +158,17 @@ class _QuotientEngine:
     canonical pair (X, Y) as ``X | Y << n``; the empty quotient's key is None.
     ``successors`` memoizes each key's per-letter successor keys, so atoms of
     the same DFA share the quotients they have in common.
+
+    A key's image under a letter is one packed pair, and it is canonicalized
+    with ``key`` only when neither shortcut applies:
+
+    - An image already seen in the walk is a key, and a key is its own key:
+      canonicalizing keeps a pair's compatible columns, so it is idempotent.
+    - An image under a permutation of Q is a key.  For a permutation a,
+      T -> a^-1(T) is injective and maps the columns into the columns, so it
+      is a bijection of them, and the columns compatible with (a(X), a(Y))
+      are the a-images of those compatible with (X, Y).  This holds for any
+      complete DFA, minimal or not.
     """
 
     def __init__(self, dfa: Dfa):
@@ -156,7 +182,10 @@ class _QuotientEngine:
             for q in range(n)
         ]
         self.outside = [self.every_column ^ bits for bits in self.inside]
-        self.images = _image_tables(dfa)
+        self.letters = tuple(
+            (tables, len(set(dfa.delta[letter].image)) == n)
+            for letter, tables in zip(dfa.alphabet, _pair_tables(dfa))
+        )
         self.successors: dict[int, tuple[int | None, ...]] = {}
 
     def key(self, x: int, y: int) -> int | None:
@@ -190,7 +219,8 @@ class _QuotientEngine:
 
     def complexity(self, basis_mask: int) -> int:
         """Number of distinct quotients of the atom, or 0 if it is empty."""
-        start = self.key(basis_mask, self.full ^ basis_mask)
+        n, full = self.n, self.full
+        start = self.key(basis_mask, full ^ basis_mask)
         if start is None:
             return 0
         memo = self.successors
@@ -200,12 +230,13 @@ class _QuotientEngine:
         for key in order:
             successors = memo.get(key)
             if successors is None:
-                x, y = key & self.full, key >> self.n
-                successors = tuple(
-                    self.key(_apply_tables(x, tables), _apply_tables(y, tables))
-                    for tables in self.images
-                )
-                memo[key] = successors
+                images = []
+                for tables, permutes in self.letters:
+                    image = _apply_tables(key, tables)
+                    if not permutes and image not in seen:
+                        image = self.key(image & full, image >> n)
+                    images.append(image)
+                memo[key] = successors = tuple(images)
             for succ in successors:
                 if succ not in seen:
                     if succ is None:

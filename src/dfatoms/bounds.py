@@ -62,11 +62,21 @@ def atom_complexity_bound(kind: WitnessClass, n: int, size: int) -> int | None:
         return n if init else (1 << (n - sink)) - 1 + sink
     if sink and init and size == n - 1:
         return (1 << (n - 2)) + n - 1
-    return 1 + sum(
-        comb(n - sink - init, x - sink) * comb(n - x - init, y - init)
-        for x in range(1, size + 1)
-        for y in range(1, n - size + 1)
-    )
+    # The inner sum over y is a partial row sum P(m, k) = sum_{j<=k} C(m, j)
+    # with m = n-x-init and k = n-size-init, less C(m, 0) unless init.  Going
+    # from x = size down to 1, m rises from k, where P(k, k) = 2^k, and
+    # P(m+1, k) = 2 P(m, k) - C(m, k), so each size costs O(n) big-int steps.
+    free = n - sink - init
+    k = n - size - init
+    pick = comb(free, size - sink)  # C(free, x - sink)
+    partial, top = 1 << k, 1  # P(m, k) and C(m, k)
+    total = 1
+    for x in range(size, 0, -1):
+        m = n - x - init
+        total += pick * (partial - 1 + init)
+        partial, top = 2 * partial - top, top * (m + 1) // (m + 1 - k)
+        pick = pick * (x - sink) // (free - x + sink + 1)
+    return total
 
 
 def bound_for_basis(

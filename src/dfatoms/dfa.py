@@ -420,12 +420,31 @@ def _apply_tables(mask: int, tables: tuple[tuple[int, ...], ...]) -> int:
 def _image_tables(dfa: Dfa) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Per letter, the chunk tables mapping a state mask to its image.
 
-    Cached per DFA: an atom's pair search runs once per basis on one DFA.
+    Cached per DFA: a prefix closure maps every subset it finds on one DFA.
     """
     return tuple(
         _chunk_tables([1 << (q - 1) for q in dfa.delta[letter].image])
         for letter in dfa.alphabet
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_tables(dfa: Dfa) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per letter, the chunk tables mapping a packed pair ``X | Y << n`` to
+    the packed pair of its images.
+
+    Bit q-1 of the 2n bits maps to the image of state q and bit n+q-1 to that
+    image shifted by n, so one lookup chain maps both halves.  The halves are
+    packed back to back rather than aligned on chunks: that is the layout of
+    the quotient keys, and it needs no more chunks than the aligned one.
+    Cached per DFA, like ``_image_tables``.
+    """
+    n = dfa.state_count
+    tables = []
+    for letter in dfa.alphabet:
+        bits = [1 << (q - 1) for q in dfa.delta[letter].image]
+        tables.append(_chunk_tables(bits + [b << n for b in bits]))
+    return tuple(tables)
 
 
 def _column_masks(dfa: Dfa) -> set[int]:

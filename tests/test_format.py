@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfatoms import (
     Dfa,
+    DfatomsError,
     ParseError,
     RandomSpec,
     Transformation,
@@ -150,3 +153,43 @@ def test_dot_with_labels():
 def test_render_with_empty_finals_round_trips():
     d = Dfa(2, ("a",), {"a": Transformation((2, 1))}, 1, frozenset())
     assert parse_dfa(render_dfa(d)) == d
+
+
+# Characters that are likely to change a document's meaning: digits, field
+# and line separators, the comment marker, a sign, letters of the witnesses'
+# alphabets and of the keywords, and non-ASCII digits and letters.
+MUTATION_CHARS = "0123456789 \t\n#-+_abcdefinalstr\u0663\u00e9\x00"
+
+
+@st.composite
+def mutated_documents(draw):
+    """A rendered witness document with up to five character or line edits."""
+    kind = draw(st.sampled_from(WitnessClass))
+    text = render_dfa(witness(kind, draw(st.integers(2, 6))))
+    for _ in range(draw(st.integers(1, 5))):
+        lines = text.splitlines(keepends=True)
+        edit = draw(st.sampled_from(["replace", "insert", "delete", "drop", "copy", "swap"]))
+        if edit in ("replace", "insert", "delete"):
+            at = draw(st.integers(0, len(text)))
+            char = "" if edit == "delete" else draw(st.sampled_from(MUTATION_CHARS))
+            text = text[:at] + char + text[at + (edit != "insert"):]
+        elif lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            j = draw(st.integers(0, len(lines) - 1))
+            if edit == "drop":
+                del lines[i]
+            elif edit == "copy":
+                lines.insert(j, lines[i])
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            text = "".join(lines)
+    return text
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_parse_or_raise_a_domain_error(text):
+    try:
+        assert isinstance(parse_dfa(text), Dfa)
+    except DfatomsError:
+        pass

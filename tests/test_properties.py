@@ -5,6 +5,8 @@ route rests on the atoms of the state-language list, and the containment
 table on the state languages themselves, which every DFA has.
 """
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -119,6 +121,64 @@ def test_pair_automaton_numbering_matches_oracle(dfa):
         assert build_atom_dfa(dfa, basis) == expected
         labels = reachable_pair_states(dfa, basis)
         assert [None if p.is_bottom else (p.x, p.y) for p in labels] == order
+
+
+def permutation_heavy_dfa(rng):
+    """A DFA of 7 to 12 states whose letters are each a permutation with
+    probability 0.6.  Packed pairs then run past 16 bits, and most quotient
+    images skip canonicalization.  A twin DFA doubles one on h states: state
+    q + h copies state q, so it is never minimal."""
+    twin = rng.random() < 0.3
+    h = rng.randint(4, 6) if twin else rng.randint(7, 12)
+    n = 2 * h if twin else h
+    delta = {}
+    for letter in ("a", "b", "c")[: rng.randint(1, 3)]:
+        if rng.random() < 0.6:
+            image = rng.sample(range(1, h + 1), h)
+        else:
+            image = [rng.randint(1, h) for _ in range(h)]
+        if twin:
+            image += [q + h for q in image]
+        delta[letter] = Transformation(tuple(image))
+    finals = {q for q in range(1, h + 1) if rng.random() < 0.5}
+    if twin:
+        finals |= {q + h for q in finals}
+    return Dfa(n, tuple(delta), delta, rng.randint(1, n), finals)
+
+
+# Atom DFA states built per DFA.  Groups generated by random permutations
+# give hundreds of columns whose atom DFAs have hundreds of states each, so
+# the columns of such a DFA, then its non-columns, are checked in order until
+# the budget is spent; 48 of the 80 DFAs are checked on all of them.
+PAIR_STATE_BUDGET = 2000
+
+
+@pytest.mark.parametrize("first_seed", range(0, 80, 20))
+def test_packed_pairs_agree_with_atom_dfa_past_16_bits(first_seed):
+    for seed in range(first_seed, first_seed + 20):
+        rng = random.Random(seed)
+        dfa = permutation_heavy_dfa(rng)
+        n = dfa.state_count
+        columns = atom_bases_by_reversal(dfa)
+        others = {frozenset(rng.sample(range(1, n + 1), rng.randint(0, n))) for _ in range(10)}
+        for basis in others - columns:
+            with pytest.raises(NotAnAtomError):
+                atom_complexity(dfa, basis)
+        spent = 0
+        for basis in sorted(columns, key=sorted) + sorted(others - columns, key=sorted):
+            if spent > PAIR_STATE_BUDGET:
+                break
+            atom_dfa = build_atom_dfa(dfa, basis)
+            spent += atom_dfa.state_count
+            if basis in columns:
+                assert atom_complexity(dfa, basis) == quotient_complexity(atom_dfa)
+            else:
+                assert not atom_dfa.finals
+            if n <= 9:
+                expected, order = pair_automaton(dfa, basis)
+                assert atom_dfa == expected
+                labels = reachable_pair_states(dfa, basis)
+                assert [None if p.is_bottom else (p.x, p.y) for p in labels] == order
 
 
 # The monoid is the symmetric group on three states: from any element some
