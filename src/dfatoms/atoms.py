@@ -29,6 +29,13 @@ canonicalizes a key's image only when it must:
 - an image under a permutation a of Q is a key: T -> a^-1(T) is a bijection
   of the columns, so the columns compatible with (a(X), a(Y)) are the
   a-images of those compatible with (X, Y).
+
+A single atom (``atom_complexity``) walks only the keys it reaches.  Full
+enumeration (``enumerate_atoms``) instead builds the graph of every key that
+some atom reaches, once, with the same two shortcuts, and finds its strongly
+connected components.  Each component's reach, the keys it leads to, is its
+own keys plus its successors' reach, so one pass in Tarjan's emission order
+gives every atom's complexity as the size of the reach of its start key.
 """
 
 from __future__ import annotations
@@ -47,7 +54,6 @@ from .dfa import (
     _mask_of,
     _pair_tables,
     _set_of,
-    atom_bases_by_reversal,
     minimize,
 )
 from .errors import InvalidBasisError, LimitExceededError, NotAnAtomError
@@ -101,7 +107,7 @@ def _explore(dfa: Dfa, basis_mask: int):
     fmask = _mask_of(dfa.finals)
     letters = _pair_tables(dfa)
 
-    def step(pair):
+    def step(pair, _):
         if pair is None:
             return [None] * len(letters)
         successors = []
@@ -111,7 +117,7 @@ def _explore(dfa: Dfa, basis_mask: int):
         return successors
 
     start = basis_mask | (full ^ basis_mask) << n
-    pairs, rows = _discover(start, step, len(letters))
+    pairs, rows = _discover([start], step, len(letters))
     finals = [p is not None and not p & full & ~fmask and not p >> n & fmask for p in pairs]
     return pairs, rows, finals
 
@@ -153,8 +159,9 @@ def is_atom(dfa: Dfa, basis: Iterable[int]) -> bool:
 class _QuotientEngine:
     """The quotients of the atoms of one DFA, named by canonical pair keys.
 
-    ``inside[q]`` and ``outside[q]`` are bitsets over the columns: bit i is set
-    when column i contains, or lacks, state q.  A quotient's key packs its
+    ``columns`` holds the column masks in increasing order.  ``inside[q]``
+    and ``outside[q]`` are bitsets over them: bit i is set when column i
+    contains, or lacks, state q.  A quotient's key packs its
     canonical pair (X, Y) as ``X | Y << n``; the empty quotient's key is None.
     ``successors`` memoizes each key's per-letter successor keys, so atoms of
     the same DFA share the quotients they have in common.
@@ -162,7 +169,8 @@ class _QuotientEngine:
     A key's image under a letter is one packed pair, and it is canonicalized
     with ``key`` only when neither shortcut applies:
 
-    - An image already seen in the walk is a key, and a key is its own key:
+    - An image already seen in the walk (or already a node of the key
+      graph) is a key, and a key is its own key:
       canonicalizing keeps a pair's compatible columns, so it is idempotent.
     - An image under a permutation of Q is a key.  For a permutation a,
       T -> a^-1(T) is injective and maps the columns into the columns, so it
@@ -173,7 +181,7 @@ class _QuotientEngine:
 
     def __init__(self, dfa: Dfa):
         n = dfa.state_count
-        columns = sorted(_column_masks(dfa))
+        self.columns = columns = sorted(_column_masks(dfa))
         self.n = n
         self.full = (1 << n) - 1
         self.every_column = (1 << len(columns)) - 1
@@ -246,6 +254,103 @@ class _QuotientEngine:
                         order.append(succ)
         return len(seen) + empty
 
+    def key_graph(self) -> tuple[list[int | None], list[list[int]]]:
+        """Every key reachable from some column's start pair, and its edges.
+
+        Node i is the start key of ``columns[i]`` for each column, then the
+        keys in breadth-first order, the empty quotient being the node None;
+        the rows are ``_discover``'s.  A column's start pair is already its
+        key: the only column compatible with (S, complement of S) is S.
+        """
+        n, full, key, letters = self.n, self.full, self.key, self.letters
+        sink = [None] * len(letters)
+
+        def step(node, index):
+            if node is None:
+                return sink
+            images = []
+            for tables, permutes in letters:
+                image = _apply_tables(node, tables)
+                if not permutes and image not in index:
+                    image = key(image & full, image >> n)
+                images.append(image)
+            return images
+
+        starts = [col | (full ^ col) << n for col in self.columns]
+        return _discover(starts, step, len(letters))
+
+    def complexities(self) -> list[int]:
+        """The complexity of every atom, in ``columns`` order, in one pass.
+
+        An atom's quotients are the nodes its start key reaches in the key
+        graph, the empty quotient counted once as the node None.
+        """
+        _, rows = self.key_graph()
+        component, reach = _reach(rows)
+        return [reach[component[i]].bit_count() for i in range(len(self.columns))]
+
+
+def _reach(rows: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Strongly connected components of the graph of ``rows`` and their reach.
+
+    Returns ``component[v]``, the number of node v's component, and
+    ``reach[c]``, a bitset with one bit per node that component c reaches,
+    itself included.  Tarjan's algorithm, run with an explicit stack so that
+    long paths cannot exhaust the interpreter's recursion limit, emits each
+    component after every component it reaches, so ``reach[c]`` is c's own
+    bits OR'd with the ``reach`` of its successor components, all known
+    already.  Nodes get their bits in emission order, so a component's own
+    bits are one run.
+    """
+    successors = list(zip(*rows))
+    count = len(successors)
+    number = [0] * count  # preorder number from 1; 0 means not yet visited
+    low = [0] * count
+    component = [-1] * count  # -1 while the node is on Tarjan's stack
+    stack: list[int] = []
+    reach: list[int] = []
+    counter = emitted = 0
+    for root in range(count):
+        if number[root]:
+            continue
+        counter += 1
+        number[root] = low[root] = counter
+        stack.append(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if not number[w]:
+                    counter += 1
+                    number[w] = low[w] = counter
+                    stack.append(w)
+                    work.append((w, iter(successors[w])))
+                    break
+                if component[w] < 0 and number[w] < low[v]:
+                    low[v] = number[w]
+            else:
+                work.pop()
+                if low[v] < number[v]:  # not a component's root, so not the tree's
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                    continue
+                c = len(reach)
+                members = []
+                while True:
+                    w = stack.pop()
+                    component[w] = c
+                    members.append(w)
+                    if w == v:
+                        break
+                bits = ((1 << len(members)) - 1) << emitted
+                emitted += len(members)
+                targets = {component[w] for m in members for w in successors[m]}
+                targets.discard(c)
+                for d in targets:
+                    bits |= reach[d]
+                reach.append(bits)
+    return component, reach
+
 
 @functools.lru_cache(maxsize=1)
 def _engine(dfa: Dfa) -> _QuotientEngine:
@@ -295,15 +400,18 @@ def enumerate_atoms(dfa: Dfa, with_complexities: bool = True) -> AtomReport:
 
     Minimizes first when the input is not already minimal, so bases refer to
     the states of the minimal DFA.  Bases come from the achievable-column
-    closure; pass ``with_complexities=False`` to skip the per-atom complexity
-    computation when only the count matters.
+    closure.  The complexities come from one pass over the graph of every
+    quotient key that some atom reaches: each atom counts the keys its start
+    key reaches, read off the graph's strongly connected components.  Pass
+    ``with_complexities=False`` to skip that pass when only the count matters.
     """
     minimal = minimize(dfa)
     if minimal.state_count == dfa.state_count:
         minimal = dfa
-    bases = sorted(atom_bases_by_reversal(minimal), key=lambda s: (len(s), sorted(s)))
-    infos = tuple(
-        AtomInfo(basis, atom_complexity(minimal, basis) if with_complexities else None)
-        for basis in bases
+    engine = _engine(minimal)
+    counts = engine.complexities() if with_complexities else [None] * len(engine.columns)
+    infos = sorted(
+        (AtomInfo(_set_of(col), count) for col, count in zip(engine.columns, counts)),
+        key=lambda info: (len(info.basis), sorted(info.basis)),
     )
-    return AtomReport(minimal.state_count, infos)
+    return AtomReport(minimal.state_count, tuple(infos))

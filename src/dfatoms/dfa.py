@@ -266,24 +266,29 @@ def _moore_blocks(rows: list[list[int]], finals: list[bool]) -> list[int]:
         block, count = new, len(ids)
 
 
-def _discover(start, step, letters: int, cap: int | None = None):
-    """Breadth-first numbering of the nodes reachable from ``start``.
+def _discover(starts, step, letters: int, cap: int | None = None):
+    """Breadth-first numbering of the nodes reachable from ``starts``.
 
-    ``step(node)`` lists the node's successor under each of the ``letters``
-    letters.  Returns the nodes in discovery order and, per letter, the
-    0-based row of successor indices.  More than ``cap`` nodes raise
-    ``CapExceededError`` with the count so far.  This one loop builds the
-    reachable part of a DFA (``_reachable_arrays``), an atom's pair automaton
-    (``atoms._explore``) and a prefix closure's subset automaton
-    (``ideals._prefix_closure``).  The column and semigroup closures and the
-    quotient-key walk need no rows, and the harness oracles keep their own
-    searches to stay independent of the code they check.
+    The ``starts``, which must be distinct, are numbered first, in order.
+    ``step(node, index)`` lists the node's successor under each of the
+    ``letters`` letters; ``index`` maps every node found so far to its
+    number, so a step can tell an image that is already a node.  Returns the
+    nodes in discovery order and, per letter, the 0-based row of successor
+    indices.  More than ``cap`` nodes raise ``CapExceededError`` with the
+    count so far.  This one loop builds the reachable part of a DFA
+    (``_reachable_arrays``), an atom's pair automaton (``atoms._explore``),
+    a prefix closure's subset automaton (``ideals._prefix_closure``) and the
+    graph of quotient keys that counts every atom at once
+    (``atoms._QuotientEngine.key_graph``).  The column and semigroup
+    closures need no rows, a single atom's quotient walk stops at the keys
+    that atom reaches, and the harness oracles keep their own searches to
+    stay independent of the code they check.
     """
-    nodes = [start]
-    index = {start: 0}
+    nodes = list(starts)
+    index = {node: i for i, node in enumerate(nodes)}
     rows: list[list[int]] = [[] for _ in range(letters)]
     for node in nodes:
-        for row, succ in zip(rows, step(node)):
+        for row, succ in zip(rows, step(node, index)):
             j = index.get(succ)
             if j is None:
                 j = len(nodes)
@@ -309,7 +314,9 @@ def _array_dfa(alphabet: tuple[str, ...], rows: list[list[int]], finals: list) -
 def _reachable_arrays(dfa: Dfa) -> tuple[list[int], list[list[int]], list[bool]]:
     """Restrict to reachable states, in 0-based array form (BFS order from initial)."""
     images = [dfa.delta[letter].image for letter in dfa.alphabet]
-    order, rows = _discover(dfa.initial, lambda q: [t[q - 1] for t in images], len(images))
+    order, rows = _discover(
+        [dfa.initial], lambda q, _: [t[q - 1] for t in images], len(images)
+    )
     return order, rows, [q in dfa.finals for q in order]
 
 

@@ -29,10 +29,11 @@ def _tokens(text: str):
 
 
 def _int_field(token: str, what: str, line: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"{what} must be an integer, got {token!r}", line) from None
+    # ``int`` alone would also take signs, underscores and non-ASCII digits,
+    # which ``render_dfa`` never writes back.
+    if not (token.isascii() and token.isdigit()):
+        raise ParseError(f"{what} must be an integer, got {token!r}", line)
+    return int(token)
 
 
 def _state_field(token: str, n: int, what: str, line: int) -> int:

@@ -80,8 +80,8 @@ def _prefix_closure(dfa: Dfa, cap: int) -> Dfa:
     init_bit = 1 << (dfa.initial - 1)
     images = _image_tables(dfa)
     subsets, rows = _discover(
-        init_bit,
-        lambda s: [init_bit | _apply_tables(s, tables) for tables in images],
+        [init_bit],
+        lambda s, _: [init_bit | _apply_tables(s, tables) for tables in images],
         len(images),
         cap,
     )

@@ -185,6 +185,46 @@ def brute_columns(dfa):
     return seen
 
 
+def column_signature_complexity(dfa, basis):
+    """Atom complexity by counting the distinct sets of compatible columns.
+
+    The quotient at a pair state (X, Y) is the union of the atoms whose
+    column contains X and misses Y.  Atoms are non-empty and disjoint, so
+    two pair states have the same quotient exactly when the same columns
+    (from ``brute_columns``) are compatible with them, and the empty
+    quotient is the empty set of columns.  Searches frozenset pairs from
+    (S, complement of S) breadth-first; a pair with no compatible column is
+    not expanded, since its images have none either.  Returns 0 for a
+    non-atom.
+    """
+    basis = frozenset(basis)
+    columns = brute_columns(dfa)
+    if basis not in columns:
+        return 0
+    start = (basis, frozenset(range(1, dfa.state_count + 1)) - basis)
+    seen = {start}
+    frontier = [start]
+    signatures = set()
+    while frontier:
+        nxt = []
+        for x, y in frontier:
+            signature = frozenset(c for c in columns if x <= c and not y & c)
+            signatures.add(signature)
+            if not signature:
+                continue
+            for letter in dfa.alphabet:
+                image = dfa.delta[letter].image
+                pair = (
+                    frozenset(image[q - 1] for q in x),
+                    frozenset(image[q - 1] for q in y),
+                )
+                if pair not in seen:
+                    seen.add(pair)
+                    nxt.append(pair)
+        frontier = nxt
+    return len(signatures)
+
+
 def column_of(dfa, word):
     """The set of states that the word sends into the finals."""
     members = set()

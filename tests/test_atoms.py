@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -166,6 +168,36 @@ def test_quotient_walk_canonicalizes_few_images(monkeypatch, basis, most):
     d = witness(WitnessClass.REGULAR, 10)
     assert atom_complexity(d, basis) == atom_complexity_bound(WitnessClass.REGULAR, 10, len(basis))
     assert calls <= most
+
+
+def test_key_graph_of_regular_witness_n8():
+    # Every state set is a column, so each pair (X, Y) of disjoint subsets
+    # of the 8 states is a key.  All but (empty, empty), the quotient of
+    # every word, are reached: 3^8 - 1 keys plus the empty quotient None.
+    nodes, rows = atoms._QuotientEngine(regular_witness(8)).key_graph()
+    assert len(nodes) == 6_561
+    assert None in nodes
+    assert 0 not in nodes
+    assert len(atoms._reach(rows)[1]) == 45
+
+
+def test_one_pass_does_not_recurse():
+    # Its 2,934 components lie on depth-first paths up to 440 nodes long, so
+    # a recursive Tarjan would pass the lowered limit.
+    d = minimize(random_dfa(RandomSpec(14, 2, seed=10)))
+    engine = atoms._QuotientEngine(d)
+    limit = len(inspect.stack(0)) + 100
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        counts = engine.complexities()
+        _, rows = engine.key_graph()
+        components = len(atoms._reach(rows)[1])
+    finally:
+        sys.setrecursionlimit(saved)
+    assert components > limit
+    for col, count in list(zip(engine.columns, counts))[::40]:
+        assert count == engine.complexity(col)
 
 
 def test_enumerate_atoms_counts():

@@ -118,6 +118,19 @@ def test_non_integer_state_rejected():
         parse_dfa(VALID_DOC.replace("initial 1", "initial one"))
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [("states 3", "states \u0663"), ("initial 1", "initial +1"), ("final 3", "final 0_3")],
+    ids=["arabic-indic-digit", "sign", "underscore"],
+)
+def test_integers_outside_ascii_digits_rejected(field, bad):
+    # int() reads each of these as a valid number, but render_dfa would
+    # write it back differently.
+    with pytest.raises(ParseError) as info:
+        parse_dfa(VALID_DOC.replace(field, bad))
+    assert "must be an integer" in str(info.value)
+
+
 def test_truncated_document():
     with pytest.raises(ParseError):
         parse_dfa("dfa v1\nstates 2\n")

@@ -22,6 +22,7 @@ from dfatoms import (
     atom_bases_by_reversal,
     atom_complexity,
     build_atom_dfa,
+    enumerate_atoms,
     idealize,
     is_atom,
     is_left_ideal,
@@ -40,9 +41,12 @@ from dfatoms import (
     successor_sets,
     transition_semigroup,
 )
+from dfatoms import atoms
 from oracles import (
+    brute_columns,
     brute_semigroup,
     canonical_minimal,
+    column_signature_complexity,
     monoid_moore_complexity,
     monoid_row_atom_complexity,
     pair_automaton,
@@ -121,6 +125,25 @@ def test_pair_automaton_numbering_matches_oracle(dfa):
         assert build_atom_dfa(dfa, basis) == expected
         labels = reachable_pair_states(dfa, basis)
         assert [None if p.is_bottom else (p.x, p.y) for p in labels] == order
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@example(DUPLICATED_STATE)
+@example(UNREACHABLE_STATES)
+@given(small_dfas())
+def test_one_pass_agrees_with_walk_and_oracles(dfa):
+    n = dfa.state_count
+    engine = atoms._QuotientEngine(dfa)
+    counts = engine.complexities()
+    bases = [frozenset(q for q in range(1, n + 1) if col >> (q - 1) & 1) for col in engine.columns]
+    assert set(bases) == brute_columns(dfa)
+    for basis, count in zip(bases, counts):
+        assert count == atom_complexity(dfa, basis)
+        assert count == oracle_atom_complexity(dfa, basis)
+        assert count == column_signature_complexity(dfa, basis)
+    minimal = minimize(dfa)
+    for info in enumerate_atoms(minimal).atoms:
+        assert info.complexity == atom_complexity(minimal, info.basis)
 
 
 def permutation_heavy_dfa(rng):

@@ -10,6 +10,7 @@ from dfatoms import (
     is_right_ideal,
     is_two_sided_ideal,
     left_ideal_witness,
+    max_atom_count,
     quotient_complexity,
     regular_witness,
     right_ideal_witness,
@@ -151,6 +152,19 @@ def test_every_witness_atom_attains_its_bound(kind, n):
     sink = accepting_sink(d) or n
     report = enumerate_atoms(d)
     assert report.count > 0
+    for info in report.atoms:
+        assert info.complexity == bound_for_basis(kind, n, info.basis, sink=sink), sorted(
+            info.basis
+        )
+
+
+@pytest.mark.parametrize("kind", list(WitnessClass), ids=lambda kind: f"{kind.value}-10")
+def test_witness_at_n10_attains_every_bound_and_the_atom_count(kind):
+    n = 10
+    d = witness(kind, n)
+    sink = accepting_sink(d) or n
+    report = enumerate_atoms(d)
+    assert report.count == max_atom_count(kind, n)
     for info in report.atoms:
         assert info.complexity == bound_for_basis(kind, n, info.basis, sink=sink), sorted(
             info.basis
