@@ -49,6 +49,7 @@ from .dfa import (
     _Frozen,
     _apply_tables,
     _array_dfa,
+    _basis_members,
     _column_masks,
     _discover,
     _mask_of,
@@ -56,7 +57,7 @@ from .dfa import (
     _set_of,
     minimize,
 )
-from .errors import InvalidBasisError, LimitExceededError, NotAnAtomError
+from .errors import LimitExceededError, NotAnAtomError
 
 
 class PairState(_Frozen):
@@ -83,23 +84,21 @@ class PairState(_Frozen):
 
 
 def _basis_mask(dfa: Dfa, basis: Iterable[int]) -> int:
-    members = frozenset(basis)
     n = dfa.state_count
     if n > SUBSET_OP_LIMIT:
         raise LimitExceededError(
             f"atom operations support at most {SUBSET_OP_LIMIT} states, got {n}"
         )
-    bad = [q for q in members if not (isinstance(q, int) and 1 <= q <= n)]
-    if bad:
-        raise InvalidBasisError(f"basis ids {sorted(bad)} not within 1..{n}")
-    return _mask_of(members)
+    return _mask_of(_basis_members(n, basis))
 
 
-def _explore(dfa: Dfa, basis_mask: int):
-    """Breadth-first exploration of the pair automaton for a basis.
+def _explore(dfa: Dfa, basis_masks: Iterable[int]):
+    """Breadth-first exploration of the pair automata of distinct bases at once.
 
-    Returns (pairs, rows, finals): pairs in discovery order, each packed as
-    one int ``X | Y << n`` with None for the sink, 0-based transition rows per
+    The start pair (S, complement of S) of each basis mask is numbered first,
+    in order; the pair states the starts reach are shared.  Returns (pairs,
+    rows, finals): pairs in discovery order, each packed as one int
+    ``X | Y << n`` with None for the sink, 0-based transition rows per
     letter, and per-state finality flags.
     """
     n = dfa.state_count
@@ -116,8 +115,8 @@ def _explore(dfa: Dfa, basis_mask: int):
             successors.append(None if image & full & image >> n else image)
         return successors
 
-    start = basis_mask | (full ^ basis_mask) << n
-    pairs, rows = _discover([start], step, len(letters))
+    starts = [mask | (full ^ mask) << n for mask in basis_masks]
+    pairs, rows = _discover(starts, step, len(letters))
     finals = [p is not None and not p & full & ~fmask and not p >> n & fmask for p in pairs]
     return pairs, rows, finals
 
@@ -128,7 +127,7 @@ def build_atom_dfa(dfa: Dfa, basis: Iterable[int]) -> Dfa:
     Its start state is the pair (S, complement of S); state i of the result
     is the i-th pair state discovered, as reported by ``reachable_pair_states``.
     """
-    _, rows, finals = _explore(dfa, _basis_mask(dfa, basis))
+    _, rows, finals = _explore(dfa, [_basis_mask(dfa, basis)])
     return _array_dfa(dfa.alphabet, rows, finals)
 
 
@@ -136,7 +135,7 @@ def reachable_pair_states(dfa: Dfa, basis: Iterable[int]) -> tuple[PairState, ..
     """Pair-state labels of ``build_atom_dfa`` in state order."""
     n = dfa.state_count
     full = (1 << n) - 1
-    pairs, _, _ = _explore(dfa, _basis_mask(dfa, basis))
+    pairs, _, _ = _explore(dfa, [_basis_mask(dfa, basis)])
     return tuple(
         PairState.bottom() if p is None else PairState(_set_of(p & full), _set_of(p >> n))
         for p in pairs

@@ -16,6 +16,7 @@ from types import MappingProxyType
 
 from .errors import (
     CapExceededError,
+    InvalidBasisError,
     InvalidDfaError,
     LimitExceededError,
     SizeMismatchError,
@@ -40,6 +41,16 @@ def _set_of(mask: int) -> frozenset[int]:
         members.append(low.bit_length())
         mask ^= low
     return frozenset(members)
+
+
+def _basis_members(n: int, basis: Iterable[int]) -> frozenset[int]:
+    """The members of ``basis``; each must be an int state id in 1..n."""
+    members = frozenset(basis)
+    bad = [q for q in members if not (isinstance(q, int) and 1 <= q <= n)]
+    if bad:
+        bad.sort(key=lambda q: (0, q, "") if isinstance(q, int) else (1, 0, repr(q)))
+        raise InvalidBasisError(f"basis ids {bad} not within 1..{n}")
+    return members
 
 
 class _Frozen:
@@ -247,15 +258,18 @@ def reachable(dfa: Dfa) -> frozenset[int]:
     return frozenset(_reachable_arrays(dfa)[0])
 
 
-def _moore_blocks(rows: list[list[int]], finals: list[bool]) -> list[int]:
+def _moore_blocks(rows: list[list[int]], labels: list[int]) -> list[int]:
     """Moore partition refinement on a 0-based array automaton.
 
-    ``rows[k][i]`` is the successor of state i under letter k.  Returns a dense
-    block id per state; two states share a block iff they are indistinguishable.
-    Ids are numbered by first appearance over the states, which ``minimize``
-    relies on for its breadth-first numbering.
+    ``rows[k][i]`` is the successor of state i under letter k.  ``labels[i]``
+    is any hashable label of state i such that states with different labels
+    are distinguishable and final states are labelled apart from non-final
+    ones; the final flags themselves are the plainest such labels.  Returns a
+    dense block id per state; two states share a block iff they are
+    indistinguishable.  Ids are numbered by first appearance over the states,
+    which ``minimize`` relies on for its breadth-first numbering.
     """
-    block = [1 if f else 0 for f in finals]
+    block = list(labels)
     count = len(set(block))
     while True:
         maps = [[block[j] for j in row] for row in rows]
@@ -276,9 +290,10 @@ def _discover(starts, step, letters: int, cap: int | None = None):
     nodes in discovery order and, per letter, the 0-based row of successor
     indices.  More than ``cap`` nodes raise ``CapExceededError`` with the
     count so far.  This one loop builds the reachable part of a DFA
-    (``_reachable_arrays``), an atom's pair automaton (``atoms._explore``),
-    a prefix closure's subset automaton (``ideals._prefix_closure``) and the
-    graph of quotient keys that counts every atom at once
+    (``_reachable_arrays``), the pair automaton of one atom or, from every
+    start pair at once, of all candidate atoms (``atoms._explore``), a prefix
+    closure's subset automaton (``ideals._prefix_closure``) and the graph of
+    quotient keys that counts every atom at once
     (``atoms._QuotientEngine.key_graph``).  The column and semigroup
     closures need no rows, a single atom's quotient walk stops at the keys
     that atom reaches, and the harness oracles keep their own searches to

@@ -1,13 +1,23 @@
 """Independent oracles and randomized cross-checking.
 
 The atom-complexity oracle never builds the pair automaton: it runs the DFA
-whose states are the word-induced transformations (identity plus the
-transition semigroup) and accepts exactly when the current transformation's
-column equals the requested basis.  That DFA recognizes the same atom, so its
-quotient complexity must agree with the pair-automaton route.  Moore
-refinement runs only on its live part, the elements from which some word
-reaches an accepting one; the dead elements all recognize the empty
-language, so they are one quotient and are refined as a single sink.
+whose states are the word-induced transformations (the transformation
+monoid) and accepts exactly when the current transformation's column equals
+the requested basis.  That DFA recognizes the same atom, so its quotient
+complexity must agree with the pair-automaton route.  The monoid automaton is
+built once per DFA, by one breadth-first search of its own over raw image
+tuples from the identity, and its elements are grouped by column, so a basis
+finds its final elements with one lookup.
+
+Moore refinement runs only on the live part, the elements from which some
+word reaches an accepting one; the dead elements all recognize the empty
+language, so they are one quotient and are refined as a single sink.  It
+starts from each live element's distance to the atom, the length of the
+shortest word that leads it to an accepting element, with the sink labelled
+-1.  Elements with equal languages have equal shortest words, so the
+distances split no quotient, and distance 0 is exactly finality: refining
+them yields the same coarsest stable partition as refining final/non-final,
+in fewer rounds.
 """
 
 from __future__ import annotations
@@ -23,13 +33,14 @@ from .dfa import (
     Dfa,
     Transformation,
     _Frozen,
+    _basis_members,
     _moore_blocks,
+    _set_of,
     atom_bases_by_reversal,
     minimize,
     quotient_complexity,
-    transition_semigroup,
 )
-from .errors import DfatomsError, InvalidBasisError, LimitExceededError
+from .errors import DfatomsError, LimitExceededError
 from .ideals import IdealKind, accepting_sink, idealize
 from .witnesses import WitnessClass, witness
 
@@ -84,12 +95,35 @@ def random_dfa(spec: RandomSpec) -> Dfa:
     return Dfa(n, names, delta, 1, finals)
 
 
+def _backward_distances(
+    preds: list[list[int]], targets: list[int]
+) -> tuple[list[int], list[int]]:
+    """Breadth-first distances to ``targets`` along the reversed edges ``preds``.
+
+    Returns the nodes that reach some target, in order of distance, and each
+    node's distance, the length of its shortest path to a target; -1 marks
+    the nodes that reach none.
+    """
+    distance = [-1] * len(preds)
+    for i in targets:
+        distance[i] = 0
+    order = list(targets)
+    for i in order:  # appends to ``order`` as it goes
+        d = distance[i] + 1
+        for p in preds[i]:
+            if distance[p] < 0:
+                distance[p] = d
+                order.append(p)
+    return order, distance
+
+
 class _MonoidDfa:
     """The transformation-monoid automaton of a DFA, finals left open.
 
-    Elements are raw image tuples in sorted order; ``rows[k][i]`` is element
-    i followed by letter k, and ``preds[j]`` lists the elements some letter
-    sends to element j.
+    Elements are raw image tuples numbered breadth-first from the identity;
+    ``rows[k][i]`` is element i followed by letter k, ``preds[j]`` lists the
+    elements some letter sends to element j, and ``by_column`` maps each
+    column to the elements that have it.
     """
 
     def __init__(self, dfa: Dfa):
@@ -98,55 +132,56 @@ class _MonoidDfa:
             raise LimitExceededError(
                 f"monoid oracle supports at most {ORACLE_STATE_LIMIT} states, got {n}"
             )
-        semigroup = {t.image for t in transition_semigroup(dfa, cap=n**n)}
-        elements = sorted(semigroup | {tuple(range(1, n + 1))})
-        index = {t: i for i, t in enumerate(elements)}
         padded = [(0, *dfa.delta[letter].image) for letter in dfa.alphabet]
-        self.rows = [[index[tuple(map(g.__getitem__, t))] for t in elements] for g in padded]
-        self.preds: list[list[int]] = [[] for _ in elements]
-        for row in self.rows:
-            for i, j in enumerate(row):
-                self.preds[j].append(i)
-        self.columns = [
-            frozenset(q for q, r in enumerate(t, start=1) if r in dfa.finals)
-            for t in elements
-        ]
+        identity = tuple(range(1, n + 1))
+        elements = [identity]
+        index = {identity: 0}
+        self.rows = rows = [[] for _ in padded]
+        self.preds = preds = [[]]
+        self.by_column: dict[frozenset[int], list[int]] = {}
+        for i, t in enumerate(elements):  # appends to ``elements`` as it goes
+            column = frozenset(q for q, r in enumerate(t, start=1) if r in dfa.finals)
+            self.by_column.setdefault(column, []).append(i)
+            for g, row in zip(padded, rows):
+                image = tuple(map(g.__getitem__, t))
+                j = index.get(image)
+                if j is None:
+                    j = index[image] = len(elements)
+                    elements.append(image)
+                    preds.append([])
+                row.append(j)
+                preds[j].append(i)
 
     def complexity_for(self, basis: frozenset[int]) -> int:
         """Quotient complexity of the atom of ``basis``; 0 when it is empty.
 
         Moore refines only the live elements, those from which some word
-        reaches a final element.  Every dead element recognizes the empty
-        language, so together they are one quotient: their in-edges go to a
-        single non-final sink state.  Every element is reachable from the
-        identity, which is live whenever the atom is non-empty, so that empty
-        quotient counts exactly when a dead element exists.
+        reaches a final element, found by closing the final elements
+        backwards, breadth-first, so each gets its distance to the atom.
+        Every dead element recognizes the empty language, so together they
+        are one quotient: their in-edges go to a single sink state, labelled
+        -1.  Every element is reachable from the identity, which is live
+        whenever the atom is non-empty, so that empty quotient counts exactly
+        when a dead element exists.
         """
-        finals = [col == basis for col in self.columns]
-        live = [i for i, final in enumerate(finals) if final]
-        if not live:
+        finals = self.by_column.get(basis)
+        if finals is None:
             return 0
-        seen = finals[:]
-        for i in live:  # closes backwards, appending to ``live`` as it goes
-            for p in self.preds[i]:
-                if not seen[p]:
-                    seen[p] = True
-                    live.append(p)
+        live, distance = _backward_distances(self.preds, finals)
         sink = len(live)
-        number = [sink] * len(finals)
+        number = [sink] * len(distance)
         for new, i in enumerate(live):
             number[i] = new
         rows = [[number[row[i]] for i in live] for row in self.rows]
-        live_finals = [finals[i] for i in live]
-        if sink < len(finals):
+        labels = [distance[i] for i in live]
+        if sink < len(distance):
             for row in rows:
                 row.append(sink)
-            live_finals.append(False)
-        blocks = _moore_blocks(rows, live_finals)
-        return max(blocks) + 1
+            labels.append(-1)
+        return max(_moore_blocks(rows, labels)) + 1
 
     def bases(self) -> frozenset[frozenset[int]]:
-        return frozenset(self.columns)
+        return frozenset(self.by_column)
 
 
 @functools.lru_cache(maxsize=1)
@@ -161,12 +196,7 @@ def oracle_atom_complexity(dfa: Dfa, basis: Iterable[int]) -> int:
     has that column).  Only supports small state counts; the monoid may hold
     up to n**n elements.  Repeated calls on equal DFAs share one monoid.
     """
-    members = frozenset(basis)
-    n = dfa.state_count
-    bad = [q for q in members if not 1 <= q <= n]
-    if bad:
-        raise InvalidBasisError(f"basis ids {sorted(bad)} not within 1..{n}")
-    return _monoid(dfa).complexity_for(members)
+    return _monoid(dfa).complexity_for(_basis_members(dfa.state_count, basis))
 
 
 def reversal_quotient_complexity(dfa: Dfa) -> int:
@@ -243,15 +273,32 @@ class CrossCheckReport(_Frozen):
         )
 
 
+def _emptiness_bases(dfa: Dfa) -> frozenset[frozenset[int]]:
+    """The bases S whose pair automaton reaches a final pair state.
+
+    The pair automata of all 2^n start pairs (S, complement of S) are
+    explored at once, start i being that of mask i, and the final pair
+    states are closed backwards; the atom of S is non-empty exactly when
+    that closure reaches S's start pair.
+    """
+    n = dfa.state_count
+    _, rows, finals = _explore(dfa, range(1 << n))
+    preds: list[list[int]] = [[] for _ in finals]
+    for row in rows:
+        for i, j in enumerate(row):
+            preds[j].append(i)
+    _, distance = _backward_distances(preds, [i for i, final in enumerate(finals) if final])
+    return frozenset(_set_of(mask) for mask in range(1 << n) if distance[mask] >= 0)
+
+
 def cross_check(dfa: Dfa, description: str = "") -> CrossCheckReport:
     """Compare every atom-related route on one (small) DFA.
 
     The input is minimized first.  Compares three independent basis
     enumerations on every subset of the state set: the column closure, the
-    raw pair automaton (the atom is non-empty exactly when some explored pair
-    state is final) and the monoid columns.  ``is_atom``, which reads the
-    columns, gates the two complexity routes, and the atom count is the
-    number of columns.
+    raw pair automata (``_emptiness_bases``) and the monoid columns.
+    ``is_atom``, which reads the columns, gates the two complexity routes,
+    and the atom count is the number of columns.
     """
     minimal = minimize(dfa)
     n = minimal.state_count
@@ -262,15 +309,12 @@ def cross_check(dfa: Dfa, description: str = "") -> CrossCheckReport:
     monoid = _MonoidDfa(minimal)
 
     column_bases = atom_bases_by_reversal(minimal)
-    emptiness_bases = set()
     checks = []
     for mask in range(1 << n):
         basis = frozenset(q for q in range(1, n + 1) if mask & (1 << (q - 1)))
-        if any(_explore(minimal, mask)[2]):
-            emptiness_bases.add(basis)
         pair_route = atom_complexity(minimal, basis) if is_atom(minimal, basis) else 0
         checks.append(BasisCheck(basis, pair_route, monoid.complexity_for(basis)))
-    routes_agree = column_bases == frozenset(emptiness_bases) == monoid.bases()
+    routes_agree = column_bases == _emptiness_bases(minimal) == monoid.bases()
 
     return CrossCheckReport(
         description=description or f"dfa(n={dfa.state_count})",

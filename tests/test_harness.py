@@ -4,15 +4,18 @@ from dfatoms import (
     Dfa,
     DfatomsError,
     IdealKind,
+    InvalidBasisError,
     LimitExceededError,
     RandomSpec,
     Transformation,
     WitnessClass,
     atom_bases_by_reversal,
+    atom_complexity,
     bound_sweep,
     cross_check,
     enumerate_atoms,
     idealize,
+    is_atom,
     minimize,
     oracle_atom_complexity,
     random_dfa,
@@ -67,6 +70,15 @@ def test_oracle_flags_non_atoms():
 def test_oracle_state_limit():
     with pytest.raises(LimitExceededError):
         oracle_atom_complexity(regular_witness(7), {7})
+
+
+@pytest.mark.parametrize("basis", [{"x"}, {None}, {1.0}, {"x", None, 9, 0}])
+def test_oracle_rejects_basis_ids_that_are_not_states(basis):
+    # Every route applies one rule: a basis holds int state ids in 1..n.
+    dfa = regular_witness(3)
+    for route in (oracle_atom_complexity, atom_complexity, is_atom):
+        with pytest.raises(InvalidBasisError):
+            route(dfa, basis)
 
 
 def test_reversal_complexity_values():
@@ -145,6 +157,51 @@ def test_oracle_refines_every_element_when_none_is_dead(monkeypatch):
     assert [oracle_atom_complexity(dfa, {q}) for q in (1, 2, 3)] == [3, 3, 3]
     assert oracle_atom_complexity(dfa, {1, 2}) == 0
     assert sizes == [6, 6, 6]
+
+
+def moore_rounds(rows, labels):
+    """Rounds Moore refinement takes from ``labels``, the last confirming
+    that the partition is stable; ``_moore_blocks``'s loop, counted."""
+    block, count, rounds = list(labels), len(set(labels)), 0
+    while True:
+        rounds += 1
+        maps = [[block[j] for j in row] for row in rows]
+        ids = {}
+        new = [ids.setdefault(sig, len(ids)) for sig in zip(block, *maps)]
+        if len(ids) == count:
+            return rounds
+        block, count = new, len(ids)
+
+
+# The crosscheck benchmark's pool: n = 6, 3 letters, seeds 3..32.
+POOL_SEEDS = range(3, 33)
+
+
+def test_cross_check_pool_passes_within_pinned_work(monkeypatch):
+    rounds, explored = [], []
+    moore, explore = harness._moore_blocks, harness._explore
+
+    def recording_moore(rows, labels):
+        rounds.append(moore_rounds(rows, labels))
+        return moore(rows, labels)
+
+    def recording_explore(dfa, basis_masks):
+        pairs, rows, finals = explore(dfa, basis_masks)
+        explored.append(len(pairs))
+        return pairs, rows, finals
+
+    monkeypatch.setattr(harness, "_moore_blocks", recording_moore)
+    monkeypatch.setattr(harness, "_explore", recording_explore)
+    for seed in POOL_SEEDS:
+        assert cross_check(random_dfa(RandomSpec(6, 3, seed))).passed
+    # One Moore run per atom; starting from the distances to the atom takes
+    # 3,219 rounds where final/non-final flags take 4,709.
+    assert len(rounds) == 793
+    assert sum(rounds) <= 3_219
+    # One pair exploration per DFA from all 64 start pairs: 5,467 pair
+    # states, where one exploration per start pair finds 35,154.
+    assert len(explored) == len(POOL_SEEDS)
+    assert sum(explored) <= 5_467
 
 
 def test_bound_sweep_two_sided():

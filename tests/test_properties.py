@@ -41,7 +41,8 @@ from dfatoms import (
     successor_sets,
     transition_semigroup,
 )
-from dfatoms import atoms
+from dfatoms import atoms, harness
+from dfatoms.dfa import _moore_blocks
 from oracles import (
     brute_columns,
     brute_semigroup,
@@ -229,6 +230,57 @@ def test_trimmed_monoid_oracle_agrees_with_whole_monoid(dfa):
         # of elements at 5 and 6 states.
         if dfa.state_count <= 4:
             assert monoid_row_atom_complexity(dfa, basis) == expected
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@example(DUPLICATED_STATE)
+@example(UNREACHABLE_STATES)
+@example(PERMUTATION_DFA)
+@given(small_dfas())
+def test_one_emptiness_pass_agrees_with_per_basis_exploration(dfa):
+    n = dfa.state_count
+    per_basis = {
+        frozenset(q for q in range(1, n + 1) if mask >> (q - 1) & 1)
+        for mask in range(1 << n)
+        if any(atoms._explore(dfa, [mask])[2])
+    }
+    assert harness._emptiness_bases(dfa) == per_basis == atom_bases_by_reversal(dfa)
+
+
+def shortest_distances(rows, finals):
+    """Per state, the length of a shortest word leading to a final state, or
+    -1: the least fixpoint of d = 0 on finals and 1 + min over successors."""
+    distance = [0 if final else -1 for final in finals]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(finals)):
+            reached = [distance[row[i]] for row in rows if distance[row[i]] >= 0]
+            if reached and (distance[i] < 0 or min(reached) + 1 < distance[i]):
+                distance[i] = min(reached) + 1
+                changed = True
+    return distance
+
+
+def test_distance_labels_give_the_same_partition_as_final_flags():
+    rng = random.Random(2014)
+    with_dead = 0
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        rows = [[rng.randrange(n) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        finals = [rng.random() < 0.2 for _ in range(n)]
+        preds = [[] for _ in range(n)]
+        for row in rows:
+            for i, j in enumerate(row):
+                preds[j].append(i)
+        targets = [i for i, final in enumerate(finals) if final]
+        _, distance = harness._backward_distances(preds, targets)
+        assert distance == shortest_distances(rows, finals)
+        with_dead += -1 in distance
+        # Same blocks, numbered alike: a state's distance is a function of
+        # its language, and distance 0 is exactly finality.
+        assert _moore_blocks(rows, distance) == _moore_blocks(rows, finals)
+    assert with_dead >= 100
 
 
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
