@@ -21,18 +21,13 @@ Both walks, over pair states and over quotient keys, pack a pair (X, Y) of
 state masks into one int ``X | Y << n``, the sink or the empty quotient
 being None.  Per letter, one chain of chunk-table lookups
 (``dfa._pair_tables``) maps both halves at once, and the images collide
-exactly when ``image & full & image >> n`` is non-zero.  The quotient walk
-canonicalizes a key's image only when it must:
-
-- an image already seen in the walk is a key, and canonicalizing is
-  idempotent (it keeps the compatible columns), so a key is its own key;
-- an image under a permutation a of Q is a key: T -> a^-1(T) is a bijection
-  of the columns, so the columns compatible with (a(X), a(Y)) are the
-  a-images of those compatible with (X, Y).
+exactly when ``image & full & image >> n`` is non-zero.  One step,
+``_QuotientEngine.step``, gives a key's successor keys, canonicalizing only
+the images that need it.
 
 A single atom (``atom_complexity``) walks only the keys it reaches.  Full
 enumeration (``enumerate_atoms``) instead builds the graph of every key that
-some atom reaches, once, with the same two shortcuts, and finds its strongly
+some atom reaches, once, with the same step, and finds its strongly
 connected components.  Each component's reach, the keys it leads to, is its
 own keys plus its successors' reach, so one pass in Tarjan's emission order
 gives every atom's complexity as the size of the reach of its start key.
@@ -41,7 +36,7 @@ gives every atom's complexity as the size of the reach of its start key.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable
+from collections.abc import Container, Iterable, Sequence
 
 from .dfa import (
     SUBSET_OP_LIMIT,
@@ -164,18 +159,6 @@ class _QuotientEngine:
     canonical pair (X, Y) as ``X | Y << n``; the empty quotient's key is None.
     ``successors`` memoizes each key's per-letter successor keys, so atoms of
     the same DFA share the quotients they have in common.
-
-    A key's image under a letter is one packed pair, and it is canonicalized
-    with ``key`` only when neither shortcut applies:
-
-    - An image already seen in the walk (or already a node of the key
-      graph) is a key, and a key is its own key:
-      canonicalizing keeps a pair's compatible columns, so it is idempotent.
-    - An image under a permutation of Q is a key.  For a permutation a,
-      T -> a^-1(T) is injective and maps the columns into the columns, so it
-      is a bijection of them, and the columns compatible with (a(X), a(Y))
-      are the a-images of those compatible with (X, Y).  This holds for any
-      complete DFA, minimal or not.
     """
 
     def __init__(self, dfa: Dfa):
@@ -193,7 +176,7 @@ class _QuotientEngine:
             (tables, len(set(dfa.delta[letter].image)) == n)
             for letter, tables in zip(dfa.alphabet, _pair_tables(dfa))
         )
-        self.successors: dict[int, tuple[int | None, ...]] = {}
+        self.successors: dict[int | None, tuple[int | None, ...]] = {}
 
     def key(self, x: int, y: int) -> int | None:
         """Key of the quotient recognized at pair state (x, y)."""
@@ -224,34 +207,52 @@ class _QuotientEngine:
             m ^= low
         return x | y << self.n
 
-    def complexity(self, basis_mask: int) -> int:
-        """Number of distinct quotients of the atom, or 0 if it is empty."""
+    def step(self, node: int | None, index: Container) -> Sequence[int | None]:
+        """The successor keys of ``node`` per letter; the empty quotient's are None.
+
+        ``index`` holds keys already found, and an image is canonicalized
+        with ``key`` only when neither shortcut applies:
+
+        - An image in ``index`` is a key, and a key is its own key:
+          canonicalizing keeps a pair's compatible columns, so it is idempotent.
+        - An image under a permutation of Q is a key.  For a permutation a,
+          T -> a^-1(T) is injective and maps the columns into the columns, so
+          it is a bijection of them, and the columns compatible with
+          (a(X), a(Y)) are the a-images of those compatible with (X, Y).  This
+          holds for any complete DFA, minimal or not.
+        """
+        if node is None:
+            return (None,) * len(self.letters)
         n, full = self.n, self.full
-        start = self.key(basis_mask, full ^ basis_mask)
+        images = []
+        for tables, permutes in self.letters:
+            image = _apply_tables(node, tables)
+            if not permutes and image not in index:
+                image = self.key(image & full, image >> n)
+            images.append(image)
+        return images
+
+    def complexity(self, basis_mask: int) -> int:
+        """Number of distinct quotients of the atom, or 0 if it is empty.
+
+        The walk's ``seen`` is the index of ``step``, and the empty quotient
+        is the key None, counted like any other.
+        """
+        start = self.key(basis_mask, self.full ^ basis_mask)
         if start is None:
             return 0
-        memo = self.successors
+        memo, step = self.successors, self.step
         seen = {start}
         order = [start]
-        empty = 0
         for key in order:
             successors = memo.get(key)
             if successors is None:
-                images = []
-                for tables, permutes in self.letters:
-                    image = _apply_tables(key, tables)
-                    if not permutes and image not in seen:
-                        image = self.key(image & full, image >> n)
-                    images.append(image)
-                memo[key] = successors = tuple(images)
+                memo[key] = successors = tuple(step(key, seen))
             for succ in successors:
                 if succ not in seen:
-                    if succ is None:
-                        empty = 1
-                    else:
-                        seen.add(succ)
-                        order.append(succ)
-        return len(seen) + empty
+                    seen.add(succ)
+                    order.append(succ)
+        return len(seen)
 
     def key_graph(self) -> tuple[list[int | None], list[list[int]]]:
         """Every key reachable from some column's start pair, and its edges.
@@ -261,22 +262,9 @@ class _QuotientEngine:
         the rows are ``_discover``'s.  A column's start pair is already its
         key: the only column compatible with (S, complement of S) is S.
         """
-        n, full, key, letters = self.n, self.full, self.key, self.letters
-        sink = [None] * len(letters)
-
-        def step(node, index):
-            if node is None:
-                return sink
-            images = []
-            for tables, permutes in letters:
-                image = _apply_tables(node, tables)
-                if not permutes and image not in index:
-                    image = key(image & full, image >> n)
-                images.append(image)
-            return images
-
+        n, full = self.n, self.full
         starts = [col | (full ^ col) << n for col in self.columns]
-        return _discover(starts, step, len(letters))
+        return _discover(starts, self.step, len(self.letters))
 
     def complexities(self) -> list[int]:
         """The complexity of every atom, in ``columns`` order, in one pass.
@@ -284,14 +272,14 @@ class _QuotientEngine:
         An atom's quotients are the nodes its start key reaches in the key
         graph, the empty quotient counted once as the node None.
         """
-        _, rows = self.key_graph()
-        component, reach = _reach(rows)
+        component, reach = _reach(self.key_graph()[1])
         return [reach[component[i]].bit_count() for i in range(len(self.columns))]
 
 
 def _reach(rows: list[list[int]]) -> tuple[list[int], list[int]]:
     """Strongly connected components of the graph of ``rows`` and their reach.
 
+    ``rows[k][v]`` is node v's successor under letter k, read in place.
     Returns ``component[v]``, the number of node v's component, and
     ``reach[c]``, a bitset with one bit per node that component c reaches,
     itself included.  Tarjan's algorithm, run with an explicit stack so that
@@ -301,8 +289,7 @@ def _reach(rows: list[list[int]]) -> tuple[list[int], list[int]]:
     already.  Nodes get their bits in emission order, so a component's own
     bits are one run.
     """
-    successors = list(zip(*rows))
-    count = len(successors)
+    count = len(rows[0])
     number = [0] * count  # preorder number from 1; 0 means not yet visited
     low = [0] * count
     component = [-1] * count  # -1 while the node is on Tarjan's stack
@@ -315,15 +302,16 @@ def _reach(rows: list[list[int]]) -> tuple[list[int], list[int]]:
         counter += 1
         number[root] = low[root] = counter
         stack.append(root)
-        work = [(root, iter(successors[root]))]
+        work = [(root, iter(rows))]
         while work:
             v, edges = work[-1]
-            for w in edges:
+            for row in edges:
+                w = row[v]
                 if not number[w]:
                     counter += 1
                     number[w] = low[w] = counter
                     stack.append(w)
-                    work.append((w, iter(successors[w])))
+                    work.append((w, iter(rows)))
                     break
                 if component[w] < 0 and number[w] < low[v]:
                     low[v] = number[w]
@@ -343,7 +331,7 @@ def _reach(rows: list[list[int]]) -> tuple[list[int], list[int]]:
                         break
                 bits = ((1 << len(members)) - 1) << emitted
                 emitted += len(members)
-                targets = {component[w] for m in members for w in successors[m]}
+                targets = {component[row[m]] for m in members for row in rows}
                 targets.discard(c)
                 for d in targets:
                     bits |= reach[d]

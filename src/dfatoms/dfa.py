@@ -45,7 +45,10 @@ def _set_of(mask: int) -> frozenset[int]:
 
 def _basis_members(n: int, basis: Iterable[int]) -> frozenset[int]:
     """The members of ``basis``; each must be an int state id in 1..n."""
-    members = frozenset(basis)
+    try:
+        members = frozenset(basis)
+    except TypeError as exc:
+        raise InvalidBasisError(f"basis ids must be int state ids in 1..{n}: {exc}") from None
     bad = [q for q in members if not (isinstance(q, int) and 1 <= q <= n)]
     if bad:
         bad.sort(key=lambda q: (0, q, "") if isinstance(q, int) else (1, 0, repr(q)))
@@ -295,9 +298,10 @@ def _discover(starts, step, letters: int, cap: int | None = None):
     closure's subset automaton (``ideals._prefix_closure``) and the graph of
     quotient keys that counts every atom at once
     (``atoms._QuotientEngine.key_graph``).  The column and semigroup
-    closures need no rows, a single atom's quotient walk stops at the keys
-    that atom reaches, and the harness oracles keep their own searches to
-    stay independent of the code they check.
+    closures need no rows; a single atom's quotient walk shares the key
+    graph's ``step`` but stops at the keys that atom reaches; and the
+    harness oracles keep their own searches, ending in ``_array_dfa`` where
+    they build a DFA, to stay independent of the code they check.
     """
     nodes = list(starts)
     index = {node: i for i, node in enumerate(nodes)}

@@ -33,10 +33,10 @@ from .dfa import (
     Dfa,
     Transformation,
     _Frozen,
+    _array_dfa,
     _basis_members,
     _moore_blocks,
     _set_of,
-    atom_bases_by_reversal,
     minimize,
     quotient_complexity,
 )
@@ -219,25 +219,17 @@ def reversal_quotient_complexity(dfa: Dfa) -> int:
     subsets = [start]
     index = {start: 0}
     rows: list[list[int]] = [[] for _ in dfa.alphabet]
-    pos = 0
-    while pos < len(subsets):
-        current = subsets[pos]
-        for k, letter in enumerate(dfa.alphabet):
+    for current in subsets:  # appends to ``subsets`` as it goes
+        for letter, row in zip(dfa.alphabet, rows):
             image = frozenset(p for q in current for p in rev[letter][q - 1])
             j = index.get(image)
             if j is None:
-                j = len(subsets)
-                index[image] = j
+                j = index[image] = len(subsets)
                 subsets.append(image)
-            rows[k].append(j)
-        pos += 1
-
-    delta = {
-        letter: Transformation(tuple(j + 1 for j in rows[k]))
-        for k, letter in enumerate(dfa.alphabet)
-    }
-    finals = frozenset(i + 1 for i, s in enumerate(subsets) if dfa.initial in s)
-    return quotient_complexity(Dfa(len(subsets), dfa.alphabet, delta, 1, finals))
+            row.append(j)
+    return quotient_complexity(
+        _array_dfa(dfa.alphabet, rows, [dfa.initial in s for s in subsets])
+    )
 
 
 class BasisCheck(_Frozen):
@@ -298,7 +290,8 @@ def cross_check(dfa: Dfa, description: str = "") -> CrossCheckReport:
     enumerations on every subset of the state set: the column closure, the
     raw pair automata (``_emptiness_bases``) and the monoid columns.
     ``is_atom``, which reads the columns, gates the two complexity routes,
-    and the atom count is the number of columns.
+    and each atom's complexity from the one pass of ``enumerate_atoms`` must
+    equal its pair route.  The atom count is the number of columns.
     """
     minimal = minimize(dfa)
     n = minimal.state_count
@@ -308,19 +301,22 @@ def cross_check(dfa: Dfa, description: str = "") -> CrossCheckReport:
         )
     monoid = _MonoidDfa(minimal)
 
-    column_bases = atom_bases_by_reversal(minimal)
+    one_pass = {info.basis: info.complexity for info in enumerate_atoms(minimal).atoms}
     checks = []
     for mask in range(1 << n):
-        basis = frozenset(q for q in range(1, n + 1) if mask & (1 << (q - 1)))
+        basis = _set_of(mask)
         pair_route = atom_complexity(minimal, basis) if is_atom(minimal, basis) else 0
         checks.append(BasisCheck(basis, pair_route, monoid.complexity_for(basis)))
-    routes_agree = column_bases == _emptiness_bases(minimal) == monoid.bases()
+    routes_agree = (
+        frozenset(one_pass) == _emptiness_bases(minimal) == monoid.bases()
+        and all(one_pass.get(check.basis, 0) == check.pair_route for check in checks)
+    )
 
     return CrossCheckReport(
         description=description or f"dfa(n={dfa.state_count})",
         basis_checks=tuple(checks),
         routes_agree=routes_agree,
-        atom_count=len(column_bases),
+        atom_count=len(one_pass),
         reversal_complexity=reversal_quotient_complexity(minimal),
     )
 

@@ -19,6 +19,12 @@ class WitnessClass(Enum):
     TWO_SIDED_IDEAL = "two-sided"
 
 
+def _dfa(n: int, **letters: Transformation) -> Dfa:
+    """The witness on states 1..n with initial state 1, final state n, and
+    ``letters`` in the order given."""
+    return Dfa(n, tuple(letters), letters, 1, frozenset({n}))
+
+
 def regular_witness(n: int) -> Dfa:
     """Most complex regular language on n states: a=(1..n), b=(1,2), c=(n->1).
 
@@ -26,12 +32,14 @@ def regular_witness(n: int) -> Dfa:
     """
     if n < 2:
         raise ValueError("regular witness requires n >= 2")
-    a = Transformation.cycle(n, range(1, n + 1))
-    c = Transformation.unitary(n, n, 1)
+    letters = {
+        "a": Transformation.cycle(n, range(1, n + 1)),
+        "b": Transformation.cycle(n, (1, 2)),
+        "c": Transformation.unitary(n, n, 1),
+    }
     if n == 2:
-        return Dfa(n, ("a", "c"), {"a": a, "c": c}, 1, frozenset({n}))
-    b = Transformation.cycle(n, (1, 2))
-    return Dfa(n, ("a", "b", "c"), {"a": a, "b": b, "c": c}, 1, frozenset({n}))
+        del letters["b"]
+    return _dfa(n, **letters)
 
 
 def right_ideal_witness(n: int) -> Dfa:
@@ -42,18 +50,18 @@ def right_ideal_witness(n: int) -> Dfa:
     if n < 1:
         raise ValueError("right ideal witness requires n >= 1")
     if n == 1:
-        return Dfa(1, ("a",), {"a": Transformation.identity(1)}, 1, frozenset({1}))
+        return _dfa(1, a=Transformation.identity(1))
     if n == 2:
-        return Dfa(2, ("a",), {"a": Transformation((2, 2))}, 1, frozenset({2}))
-    a = Transformation.cycle(n, range(1, n))
-    c = Transformation.unitary(n, n - 1, 1)
-    d = Transformation.unitary(n, n - 1, n)
+        return _dfa(2, a=Transformation((2, 2)))
+    letters = {
+        "a": Transformation.cycle(n, range(1, n)),
+        "b": Transformation.cycle(n, range(2, n)),
+        "c": Transformation.unitary(n, n - 1, 1),
+        "d": Transformation.unitary(n, n - 1, n),
+    }
     if n == 3:
-        return Dfa(n, ("a", "c", "d"), {"a": a, "c": c, "d": d}, 1, frozenset({n}))
-    b = Transformation.cycle(n, range(2, n))
-    return Dfa(
-        n, ("a", "b", "c", "d"), {"a": a, "b": b, "c": c, "d": d}, 1, frozenset({n})
-    )
+        del letters["b"]
+    return _dfa(n, **letters)
 
 
 def left_ideal_witness(n: int) -> Dfa:
@@ -65,33 +73,22 @@ def left_ideal_witness(n: int) -> Dfa:
     if n < 2:
         raise ValueError("left ideal witness requires n >= 2")
     if n == 2:
-        return Dfa(
+        return _dfa(
             2,
-            ("a", "b", "c"),
-            {
-                "a": Transformation.identity(2),
-                "b": Transformation.constant(2, 2),
-                "c": Transformation.constant(2, 1),
-            },
-            1,
-            frozenset({2}),
+            a=Transformation.identity(2),
+            b=Transformation.constant(2, 2),
+            c=Transformation.constant(2, 1),
         )
-    a = Transformation.cycle(n, range(2, n + 1))
-    c = Transformation.unitary(n, n, 2)
-    d = Transformation.unitary(n, n, 1)
-    e = Transformation.constant(n, 2)
+    letters = {
+        "a": Transformation.cycle(n, range(2, n + 1)),
+        "b": Transformation.cycle(n, (2, 3)),
+        "c": Transformation.unitary(n, n, 2),
+        "d": Transformation.unitary(n, n, 1),
+        "e": Transformation.constant(n, 2),
+    }
     if n == 3:
-        return Dfa(
-            n, ("a", "c", "d", "e"), {"a": a, "c": c, "d": d, "e": e}, 1, frozenset({n})
-        )
-    b = Transformation.cycle(n, (2, 3))
-    return Dfa(
-        n,
-        ("a", "b", "c", "d", "e"),
-        {"a": a, "b": b, "c": c, "d": d, "e": e},
-        1,
-        frozenset({n}),
-    )
+        del letters["b"]
+    return _dfa(n, **letters)
 
 
 def two_sided_ideal_witness(n: int) -> Dfa:
@@ -106,41 +103,27 @@ def two_sided_ideal_witness(n: int) -> Dfa:
     if n < 2:
         raise ValueError("two-sided ideal witness requires n >= 2")
     if n == 2:
-        return Dfa(
+        return _dfa(
             2,
-            ("a", "b", "c"),
-            {
-                "a": Transformation.identity(2),
-                "b": Transformation.constant(2, 2),
-                "c": Transformation.identity(2),
-            },
-            1,
-            frozenset({2}),
+            a=Transformation.identity(2),
+            b=Transformation.constant(2, 2),
+            c=Transformation.identity(2),
         )
     if n == 3:
-        return Dfa(
+        return _dfa(
             3,
-            ("a", "b", "c"),
-            {
-                "a": Transformation.unitary(3, 2, 1),
-                "b": Transformation((2, 2, 3)),
-                "c": Transformation.unitary(3, 2, 3),
-            },
-            1,
-            frozenset({3}),
+            a=Transformation.unitary(3, 2, 1),
+            b=Transformation((2, 2, 3)),
+            c=Transformation.unitary(3, 2, 3),
         )
-    a = Transformation.cycle(n, range(2, n))
-    b = Transformation.cycle(n, (2, 3))
-    c = Transformation.unitary(n, n - 1, 2)
-    d = Transformation.unitary(n, n - 1, 1)
-    e = Transformation(tuple(2 if q < n else q for q in range(1, n + 1)))
-    f = Transformation.unitary(n, 2, n)
-    return Dfa(
+    return _dfa(
         n,
-        ("a", "b", "c", "d", "e", "f"),
-        {"a": a, "b": b, "c": c, "d": d, "e": e, "f": f},
-        1,
-        frozenset({n}),
+        a=Transformation.cycle(n, range(2, n)),
+        b=Transformation.cycle(n, (2, 3)),
+        c=Transformation.unitary(n, n - 1, 2),
+        d=Transformation.unitary(n, n - 1, 1),
+        e=Transformation(tuple(2 if q < n else q for q in range(1, n + 1))),
+        f=Transformation.unitary(n, 2, n),
     )
 
 

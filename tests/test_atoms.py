@@ -69,6 +69,8 @@ def test_basis_validation():
     with pytest.raises(InvalidBasisError):
         build_atom_dfa(d, {0})
     with pytest.raises(InvalidBasisError):
+        build_atom_dfa(d, [[1]])
+    with pytest.raises(InvalidBasisError):
         atom_complexity(d, {1, 4})
 
 
@@ -170,15 +172,26 @@ def test_quotient_walk_canonicalizes_few_images(monkeypatch, basis, most):
     assert calls <= most
 
 
-def test_key_graph_of_regular_witness_n8():
-    # Every state set is a column, so each pair (X, Y) of disjoint subsets
-    # of the 8 states is a key.  All but (empty, empty), the quotient of
-    # every word, are reached: 3^8 - 1 keys plus the empty quotient None.
-    nodes, rows = atoms._QuotientEngine(regular_witness(8)).key_graph()
-    assert len(nodes) == 6_561
+@pytest.mark.parametrize(
+    "kind, keys, components",
+    [
+        (WitnessClass.REGULAR, 6_561, 45),
+        (WitnessClass.RIGHT_IDEAL, 2_188, 37),
+        (WitnessClass.LEFT_IDEAL, 2_196, 37),
+        (WitnessClass.TWO_SIDED_IDEAL, 738, 30),
+    ],
+    ids=[kind.value for kind in WitnessClass],
+)
+def test_key_graph_of_witnesses_n8(kind, keys, components):
+    # For the regular witness every state set is a column, so each pair
+    # (X, Y) of disjoint subsets of the 8 states is a key.  All but
+    # (empty, empty), the quotient of every word, are reached: 3^8 - 1 keys
+    # plus the empty quotient None.  The pins make a rise in work fail here.
+    nodes, rows = atoms._QuotientEngine(witness(kind, 8)).key_graph()
+    assert len(nodes) == keys
     assert None in nodes
     assert 0 not in nodes
-    assert len(atoms._reach(rows)[1]) == 45
+    assert len(atoms._reach(rows)[1]) == components
 
 
 def test_one_pass_does_not_recurse():

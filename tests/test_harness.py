@@ -72,7 +72,7 @@ def test_oracle_state_limit():
         oracle_atom_complexity(regular_witness(7), {7})
 
 
-@pytest.mark.parametrize("basis", [{"x"}, {None}, {1.0}, {"x", None, 9, 0}])
+@pytest.mark.parametrize("basis", [{"x"}, {None}, {1.0}, {"x", None, 9, 0}, [[1]]])
 def test_oracle_rejects_basis_ids_that_are_not_states(basis):
     # Every route applies one rule: a basis holds int state ids in 1..n.
     dfa = regular_witness(3)
