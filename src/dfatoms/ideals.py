@@ -15,9 +15,9 @@ from .dfa import (
     Transformation,
     _apply_tables,
     _array_dfa,
+    _chunk_tables,
     _containment_masks,
     _discover,
-    _image_tables,
     _mask_of,
     _set_of,
     minimize,
@@ -78,7 +78,10 @@ def _prefix_closure(dfa: Dfa, cap: int) -> Dfa:
     # Determinize the machine that may loop on the initial state before
     # running the original DFA; every subset reached contains the initial.
     init_bit = 1 << (dfa.initial - 1)
-    images = _image_tables(dfa)
+    images = [
+        _chunk_tables([1 << (q - 1) for q in dfa.delta[letter].image])
+        for letter in dfa.alphabet
+    ]
     subsets, rows = _discover(
         [init_bit],
         lambda s, _: [init_bit | _apply_tables(s, tables) for tables in images],

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import random
 import sys
 
@@ -192,6 +193,64 @@ def test_key_graph_of_witnesses_n8(kind, keys, components):
     assert None in nodes
     assert 0 not in nodes
     assert len(atoms._reach(rows)[1]) == components
+
+
+def universal_dfa(n, finals, fix_last):
+    """States 1..n, initial 1, and one letter per map of the states, or per
+    map fixing n when ``fix_last``."""
+    maps = [
+        m for m in itertools.product(range(1, n + 1), repeat=n) if not fix_last or m[-1] == n
+    ]
+    names = [f"t{i}" for i in range(len(maps))]
+    delta = {name: Transformation(m) for name, m in zip(names, maps)}
+    return Dfa(n, names, delta, 1, frozenset(finals))
+
+
+UNIVERSAL_CASES = [
+    (WitnessClass.RIGHT_IDEAL, 4, {4}),
+    (WitnessClass.RIGHT_IDEAL, 5, {5}),
+    pytest.param(WitnessClass.RIGHT_IDEAL, 6, {6}, marks=pytest.mark.slow),
+    (WitnessClass.REGULAR, 4, {4}),
+    (WitnessClass.REGULAR, 4, {3, 4}),
+    (WitnessClass.REGULAR, 4, {2, 3, 4}),
+    (WitnessClass.REGULAR, 5, {5}),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, n, finals", UNIVERSAL_CASES,
+    ids=["right-4", "right-5", "right-6", "regular-4-f1", "regular-4-f2", "regular-4-f3",
+         "regular-5"],
+)
+def test_universal_automata_attain_exactly_the_bounds(kind, n, finals):
+    """The right-ideal and regular rows are maxima over the whole class.
+
+    Adding letters never lowers an atom's complexity: over an alphabet
+    extending Sigma, the state languages, and so each atom, meet Sigma* in
+    what they were over Sigma, so quotients that differ over Sigma still
+    differ.  A minimal DFA of a right ideal with n quotients has one final
+    state, the accepting sink; numbered n, its letters are maps fixing n, so
+    it is a letter-restriction of U: states 1..n, final {n}, one letter per
+    map fixing n.  A regular language with n quotients is likewise a
+    letter-restriction of U with all n^n maps as letters and its own final
+    set; with every map a letter, two quotients of an atom differ exactly
+    when their pairs (X, Y) do, whatever the proper final set, which the
+    n = 4 cases check for each final-set size.  Atoms are intersections of
+    state languages, so the initial state does not matter, and U is itself
+    in its class, so its per-size maxima are the class's.  The one pass
+    gives every basis at once.
+
+    Left and two-sided ideals have no single universal automaton: the maps
+    their condition allows are not closed under composition, so those rows
+    are checked on the witnesses only.
+    """
+    engine = atoms._QuotientEngine(universal_dfa(n, finals, kind is WitnessClass.RIGHT_IDEAL))
+    maxima = {}
+    for col, count in zip(engine.columns, engine.complexities()):
+        size = col.bit_count()
+        maxima[size] = max(maxima.get(size, 0), count)
+    bounds = {size: atom_complexity_bound(kind, n, size) for size in range(n + 1)}
+    assert maxima == {size: b for size, b in bounds.items() if b is not None}
 
 
 def test_one_pass_does_not_recurse():

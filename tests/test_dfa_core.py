@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -26,6 +27,8 @@ from dfatoms import (
     WitnessClass,
     left_ideal_witness,
 )
+from dfatoms.dfa import _apply_tables, _chunk_tables, _containment_masks, _preimage_tables
+from dfatoms.ideals import IdealKind, idealize, is_left_ideal
 from oracles import (
     brute_columns,
     brute_partition,
@@ -263,3 +266,48 @@ def test_contains_matches_word_oracle():
                 assert state_language_contains(d, p, q) == words_contains(
                     d, p, q, 7
                 )
+
+
+@pytest.mark.parametrize("width", [4, 8])
+def test_chunk_tables_map_a_mask_to_the_union_of_its_members(width):
+    # Lengths 1..21 give every partial last chunk at both widths.
+    rng = random.Random(width)
+    for length in range(1, 22):
+        bits = [rng.getrandbits(30) for _ in range(length)]
+        tables = _chunk_tables(bits, width)
+        for _ in range(50):
+            mask = rng.getrandbits(length)
+            union = 0
+            for i in range(length):
+                if mask >> i & 1:
+                    union |= bits[i]
+            assert _apply_tables(mask, tables, width) == union
+
+
+@pytest.mark.parametrize("width", [4, 8])
+def test_preimage_tables_map_a_mask_to_the_states_sent_into_it(width):
+    rng = random.Random(100 + width)
+    for seed in range(20):
+        d = random_dfa(RandomSpec(rng.randint(1, 19), 1 + seed % 3, seed=seed))
+        for letter, tables in zip(d.alphabet, _preimage_tables(d, width)):
+            image = d.delta[letter].image
+            for _ in range(20):
+                mask = rng.getrandbits(d.state_count)
+                want = sum(1 << p for p, r in enumerate(image) if mask >> (r - 1) & 1)
+                assert _apply_tables(mask, tables, width) == want
+
+
+def test_containment_on_a_580_state_closure_stays_small():
+    # 4-bit preimage tables peak at about 0.65 MB here; 6-bit ones would
+    # take 1.44 MB and 8-bit ones 4.14 MB.
+    closed = idealize(random_dfa(RandomSpec(14, 3, 33, 0.1)), IdealKind.LEFT)
+    assert closed.state_count == 580
+    _containment_masks.cache_clear()
+    tracemalloc.start()
+    try:
+        _containment_masks(closed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert is_left_ideal(closed)

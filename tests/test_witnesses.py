@@ -4,6 +4,7 @@ from dfatoms import (
     WitnessClass,
     accepting_sink,
     bound_for_basis,
+    build_table,
     enumerate_atoms,
     induced_transformation,
     is_left_ideal,
@@ -158,14 +159,28 @@ def test_every_witness_atom_attains_its_bound(kind, n):
         )
 
 
-@pytest.mark.parametrize("kind", list(WitnessClass), ids=lambda kind: f"{kind.value}-10")
-def test_witness_at_n10_attains_every_bound_and_the_atom_count(kind):
-    n = 10
+# Regular n = 12 takes about 5 s; every other case at most about 2 s.
+LARGE_CELLS = [
+    pytest.param(
+        kind, n, id=f"{kind.value}-{n}",
+        marks=[pytest.mark.slow] if (kind, n) == (WitnessClass.REGULAR, 12) else [],
+    )
+    for n in (10, 11, 12)
+    for kind in WitnessClass
+]
+
+
+@pytest.mark.parametrize("kind, n", LARGE_CELLS)
+def test_witness_at_n10_to_n12_attains_every_bound_and_the_atom_count(kind, n):
     d = witness(kind, n)
     sink = accepting_sink(d) or n
     report = enumerate_atoms(d)
     assert report.count == max_atom_count(kind, n)
+    maxima = [None] * (n + 1)
     for info in report.atoms:
         assert info.complexity == bound_for_basis(kind, n, info.basis, sink=sink), sorted(
             info.basis
         )
+        size = len(info.basis)
+        maxima[size] = max(maxima[size] or 0, info.complexity)
+    assert tuple(maxima) == build_table(kind, 12)[n - 1].rows
