@@ -9,22 +9,20 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Iterable
 
-from .atoms import atom_complexity, build_atom_dfa, enumerate_atoms, reachable_pair_states
-from .bounds import atom_complexity_bound, build_table, max_atom_count
-from .dfa import Dfa, minimize
-from .dfaformat import dfa_to_dot, parse_dfa, render_dfa
+# Each subcommand imports what it calls, so a process compiles only those
+# modules (the package registers its submodules lazily).
 from .errors import DfatomsError
-from .harness import RandomSpec, cross_check, random_dfa
-from .ideals import IdealKind, idealize, is_left_ideal, is_right_ideal
-from .witnesses import WitnessClass, witness
+from .ideals import IdealKind
+from .witnesses import WitnessClass
 
 _CLASS_NAMES = [kind.value for kind in WitnessClass]
 _KIND_NAMES = [kind.value for kind in IdealKind]
 
 
-def _load_dfa(path: str) -> Dfa:
+def _load_dfa(path: str):
+    from .dfaformat import parse_dfa
+
     with open(path, "r", encoding="utf-8") as handle:
         return parse_dfa(handle.read())
 
@@ -47,17 +45,23 @@ def _parse_basis(arg: str) -> frozenset[int]:
         raise DfatomsError(f"basis must be comma-separated state ids, got {arg!r}") from None
 
 
-def _format_basis(basis: Iterable[int]) -> str:
+def _format_basis(basis: frozenset[int]) -> str:
     return "{" + ",".join(str(q) for q in sorted(basis)) + "}"
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
+    from .dfaformat import render_dfa
+    from .witnesses import witness
+
     dfa = witness(WitnessClass(args.cls), args.n)
     _write(render_dfa(dfa), args.out)
     return 0
 
 
 def _cmd_atoms(args: argparse.Namespace) -> int:
+    from .atoms import atom_complexity, enumerate_atoms
+    from .dfa import minimize
+
     dfa = minimize(_load_dfa(args.dfa))
     if args.basis is not None and args.basis != "-":
         basis = _parse_basis(args.basis)
@@ -82,6 +86,8 @@ def _cmd_atoms(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from .bounds import atom_complexity_bound, max_atom_count
+
     kind = WitnessClass(args.cls)
     count = max_atom_count(kind, args.n)
     values = [atom_complexity_bound(kind, args.n, s) for s in range(args.n + 1)]
@@ -99,6 +105,8 @@ def _ratio_cell(ratio: float | None) -> str:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from .bounds import build_table
+
     n_max = args.max_n
     if args.compare:
         kinds = [
@@ -136,6 +144,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_ideal(args: argparse.Namespace) -> int:
+    from .ideals import is_left_ideal, is_right_ideal
+
     dfa = _load_dfa(args.dfa)
     right = is_right_ideal(dfa)
     left = is_left_ideal(dfa)
@@ -146,6 +156,9 @@ def _cmd_check_ideal(args: argparse.Namespace) -> int:
 
 
 def _cmd_idealize(args: argparse.Namespace) -> int:
+    from .dfaformat import render_dfa
+    from .ideals import idealize
+
     dfa = _load_dfa(args.dfa)
     closed = idealize(dfa, IdealKind(args.kind))
     _write(render_dfa(closed), args.out)
@@ -164,6 +177,8 @@ def _count(arg: str) -> int:
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
+    from .harness import RandomSpec, cross_check, random_dfa
+
     failures = 0
     for i in range(args.samples):
         seed = args.seed + i
@@ -178,6 +193,9 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
+    from .atoms import build_atom_dfa, reachable_pair_states
+    from .dfaformat import dfa_to_dot
+
     dfa = _load_dfa(args.dfa)
     if args.atom is not None:
         basis = _parse_basis(args.atom)

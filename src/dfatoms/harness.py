@@ -355,10 +355,12 @@ def bound_sweep(kind: WitnessClass, n: int, samples: int, seed: int) -> SweepRep
 
     The class witness is always included and must attain its bounds exactly.
     Instances whose minimized complexity exceeds the subset-operation limit
-    are skipped and reported.
+    are skipped and reported.  Sweeps support n <= 10 for the ideal classes
+    and n <= 7 for regular languages.
     """
-    if n > 7:
-        raise ValueError("bound sweeps support n <= 7")
+    limit = 7 if kind is WitnessClass.REGULAR else 10
+    if n > limit:
+        raise ValueError(f"{kind.value} bound sweeps support n <= {limit}")
     instances: list[tuple[str, Dfa]] = [("witness", _sweep_witness(kind, n))]
     for i in range(samples):
         spec = RandomSpec(n, 3, seed + i)

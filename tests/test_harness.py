@@ -228,6 +228,25 @@ def test_bound_sweep_rejects_large_n():
         bound_sweep(WitnessClass.REGULAR, 8, samples=1, seed=0)
 
 
+IDEAL_CLASSES = [WitnessClass.RIGHT_IDEAL, WitnessClass.LEFT_IDEAL, WitnessClass.TWO_SIDED_IDEAL]
+
+
+@pytest.mark.parametrize("kind", IDEAL_CLASSES, ids=lambda kind: kind.value)
+def test_bound_sweep_ideal_classes_at_n10(kind):
+    report = bound_sweep(kind, 10, samples=20, seed=1)
+    assert report.passed, report.violations
+    assert report.witness_attains
+    assert report.checked + len(report.skipped) == 21
+    # Left closures can minimize past the subset-operation limit.
+    assert all("minimized complexity" in entry for entry in report.skipped)
+
+
+@pytest.mark.parametrize("kind", IDEAL_CLASSES, ids=lambda kind: kind.value)
+def test_bound_sweep_rejects_ideal_n11(kind):
+    with pytest.raises(ValueError, match="n <= 10"):
+        bound_sweep(kind, 11, samples=1, seed=0)
+
+
 def test_bound_sweep_raises_typed_error_on_missing_complexity(monkeypatch):
     def without_complexities(dfa):
         return enumerate_atoms(dfa, with_complexities=False)
