@@ -57,9 +57,12 @@ _EXPORTS = {
 _OWNER = {name: sub for sub, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_OWNER)
 
-# The stdlib's lazy-import recipe.  LazyLoader is not thread-safe before
-# Python 3.12; the package starts no threads.  ``cli`` is not registered:
-# ``python -m dfatoms.cli`` would warn that it is already in sys.modules.
+# The stdlib's lazy-import recipe.  Until Python 3.13 (3.10, 3.11 and at
+# least 3.12.1) LazyLoader takes no lock, so two threads that first touch the
+# same submodule at once can see it half run; the package starts no threads,
+# and README.md tells callers to make the first call from one thread.
+# ``cli`` is not registered: ``python -m dfatoms.cli`` would warn that it is
+# already in sys.modules.
 for _sub in _EXPORTS:
     _spec = importlib.util.find_spec(f"{__name__}.{_sub}")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)

@@ -10,8 +10,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-# Each subcommand imports what it calls, so a process compiles only those
-# modules (the package registers its submodules lazily).
+# The package registers its submodules lazily: binding them here runs none
+# of them, and each runs on a subcommand's first call into it, so a process
+# compiles only the modules its subcommand calls.  Calls are module-qualified
+# and looked up when they run, so a function rebound on its submodule is the
+# one called.
+from . import atoms, bounds, dfa, dfaformat, harness, ideals, witnesses
 from .errors import DfatomsError
 from .ideals import IdealKind
 from .witnesses import WitnessClass
@@ -20,11 +24,9 @@ _CLASS_NAMES = [kind.value for kind in WitnessClass]
 _KIND_NAMES = [kind.value for kind in IdealKind]
 
 
-def _load_dfa(path: str):
-    from .dfaformat import parse_dfa
-
+def _load_dfa(path: str) -> dfa.Dfa:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_dfa(handle.read())
+        return dfaformat.parse_dfa(handle.read())
 
 
 def _write(text: str, out: str | None) -> None:
@@ -50,29 +52,23 @@ def _format_basis(basis: frozenset[int]) -> str:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    from .dfaformat import render_dfa
-    from .witnesses import witness
-
-    dfa = witness(WitnessClass(args.cls), args.n)
-    _write(render_dfa(dfa), args.out)
+    automaton = witnesses.witness(WitnessClass(args.cls), args.n)
+    _write(dfaformat.render_dfa(automaton), args.out)
     return 0
 
 
 def _cmd_atoms(args: argparse.Namespace) -> int:
-    from .atoms import atom_complexity, enumerate_atoms
-    from .dfa import minimize
-
-    dfa = minimize(_load_dfa(args.dfa))
+    minimal = dfa.minimize(_load_dfa(args.dfa))
     if args.basis is not None and args.basis != "-":
         basis = _parse_basis(args.basis)
-        complexity = atom_complexity(dfa, basis)
+        complexity = atoms.atom_complexity(minimal, basis)
         if args.report == "tsv":
             print("basis\tsize\tcomplexity")
             print(f"{_format_basis(basis)}\t{len(basis)}\t{complexity}")
         else:
             print(complexity)
         return 0
-    report = enumerate_atoms(dfa)
+    report = atoms.enumerate_atoms(minimal)
     if args.report == "tsv":
         print("basis\tsize\tcomplexity")
         for info in report.atoms:
@@ -86,11 +82,9 @@ def _cmd_atoms(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    from .bounds import atom_complexity_bound, max_atom_count
-
     kind = WitnessClass(args.cls)
-    count = max_atom_count(kind, args.n)
-    values = [atom_complexity_bound(kind, args.n, s) for s in range(args.n + 1)]
+    count = bounds.max_atom_count(kind, args.n)
+    values = [bounds.atom_complexity_bound(kind, args.n, s) for s in range(args.n + 1)]
     print(f"class\t{kind.value}")
     print(f"n\t{args.n}")
     print(f"max-atoms\t{count}")
@@ -105,8 +99,6 @@ def _ratio_cell(ratio: float | None) -> str:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    from .bounds import build_table
-
     n_max = args.max_n
     if args.compare:
         kinds = [
@@ -118,7 +110,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         kinds = [WitnessClass(args.cls)]
     else:
         raise DfatomsError("table requires --class or --compare")
-    columns = [build_table(kind, n_max) for kind in kinds]
+    columns = [bounds.build_table(kind, n_max) for kind in kinds]
 
     def cell(n: int, s: int) -> str:
         if s > n:
@@ -144,11 +136,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_ideal(args: argparse.Namespace) -> int:
-    from .ideals import is_left_ideal, is_right_ideal
-
-    dfa = _load_dfa(args.dfa)
-    right = is_right_ideal(dfa)
-    left = is_left_ideal(dfa)
+    automaton = _load_dfa(args.dfa)
+    right = ideals.is_right_ideal(automaton)
+    left = ideals.is_left_ideal(automaton)
     print(f"right\t{str(right).lower()}")
     print(f"left\t{str(left).lower()}")
     print(f"two-sided\t{str(right and left).lower()}")
@@ -156,12 +146,8 @@ def _cmd_check_ideal(args: argparse.Namespace) -> int:
 
 
 def _cmd_idealize(args: argparse.Namespace) -> int:
-    from .dfaformat import render_dfa
-    from .ideals import idealize
-
-    dfa = _load_dfa(args.dfa)
-    closed = idealize(dfa, IdealKind(args.kind))
-    _write(render_dfa(closed), args.out)
+    closed = ideals.idealize(_load_dfa(args.dfa), IdealKind(args.kind))
+    _write(dfaformat.render_dfa(closed), args.out)
     return 0
 
 
@@ -177,13 +163,11 @@ def _count(arg: str) -> int:
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
-    from .harness import RandomSpec, cross_check, random_dfa
-
     failures = 0
     for i in range(args.samples):
         seed = args.seed + i
-        spec = RandomSpec(args.n, args.letters, seed)
-        report = cross_check(random_dfa(spec), description=f"seed={seed}")
+        spec = harness.RandomSpec(args.n, args.letters, seed)
+        report = harness.cross_check(harness.random_dfa(spec), description=f"seed={seed}")
         status = "PASS" if report.passed else "FAIL"
         if not report.passed:
             failures += 1
@@ -193,22 +177,19 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
-    from .atoms import build_atom_dfa, reachable_pair_states
-    from .dfaformat import dfa_to_dot
-
-    dfa = _load_dfa(args.dfa)
+    automaton = _load_dfa(args.dfa)
     if args.atom is not None:
         basis = _parse_basis(args.atom)
-        atom_dfa = build_atom_dfa(dfa, basis)
+        atom_dfa = atoms.build_atom_dfa(automaton, basis)
         labels = []
-        for pair in reachable_pair_states(dfa, basis):
+        for pair in atoms.reachable_pair_states(automaton, basis):
             if pair.is_bottom:
                 labels.append("⊥")
             else:
                 labels.append(f"({_format_basis(pair.x)},{_format_basis(pair.y)})")
-        sys.stdout.write(dfa_to_dot(atom_dfa, labels))
+        sys.stdout.write(dfaformat.dfa_to_dot(atom_dfa, labels))
     else:
-        sys.stdout.write(dfa_to_dot(dfa))
+        sys.stdout.write(dfaformat.dfa_to_dot(automaton))
     return 0
 
 
