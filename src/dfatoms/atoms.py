@@ -19,11 +19,12 @@ state to be reachable.
 
 Both walks, over pair states and over quotient keys, pack a pair (X, Y) of
 state masks into one int ``X | Y << n``, the sink or the empty quotient
-being None.  Per letter, one chain of chunk-table lookups
-(``dfa._pair_tables``) maps both halves at once, and the images collide
-exactly when ``image & full & image >> n`` is non-zero.  One step,
-``_QuotientEngine.step``, gives a key's successor keys, canonicalizing only
-the images that need it.
+being None.  Per letter, one chain of chunk-table lookups (``_pair_tables``)
+maps both halves at once, and the images collide exactly when
+``image & full & image >> n`` is non-zero.  One more chain over the same
+packed pair gives the columns a pair is incompatible with, so a key is found
+with the same subset-image primitive.  One step, ``_QuotientEngine.step``,
+gives a key's successor keys, canonicalizing only the images that need it.
 
 A single atom (``atom_complexity``) walks only the keys it reaches.  Full
 enumeration (``enumerate_atoms``) instead builds the graph of every key that
@@ -45,10 +46,10 @@ from .dfa import (
     _apply_tables,
     _array_dfa,
     _basis_members,
+    _chunk_tables,
     _column_masks,
     _discover,
     _mask_of,
-    _pair_tables,
     _set_of,
     minimize,
 )
@@ -85,6 +86,23 @@ def _basis_mask(dfa: Dfa, basis: Iterable[int]) -> int:
             f"atom operations support at most {SUBSET_OP_LIMIT} states, got {n}"
         )
     return _mask_of(_basis_members(n, basis))
+
+
+def _pair_tables(dfa: Dfa) -> list[tuple[tuple[int, ...], ...]]:
+    """Per letter, the chunk tables mapping a packed pair ``X | Y << n`` to
+    the packed pair of its images.
+
+    Bit q-1 of the 2n bits maps to the image of state q and bit n+q-1 to that
+    image shifted by n, so one lookup chain maps both halves.  The halves are
+    packed back to back, not aligned on chunks: that is the quotient keys'
+    layout, and it needs no more chunks than the aligned one.
+    """
+    n = dfa.state_count
+    tables = []
+    for letter in dfa.alphabet:
+        bits = [1 << (q - 1) for q in dfa.delta[letter].image]
+        tables.append(_chunk_tables(bits + [b << n for b in bits]))
+    return tables
 
 
 def _explore(dfa: Dfa, basis_masks: Iterable[int]):
@@ -155,8 +173,10 @@ class _QuotientEngine:
 
     ``columns`` holds the column masks in increasing order.  ``inside[q]``
     and ``outside[q]`` are bitsets over them: bit i is set when column i
-    contains, or lacks, state q.  A quotient's key packs its
-    canonical pair (X, Y) as ``X | Y << n``; the empty quotient's key is None.
+    contains, or lacks, state q.  ``conflicts`` maps a packed pair to the
+    columns it is incompatible with: those lacking a state of X or containing
+    one of Y.  A quotient's key packs its canonical pair (X, Y) as
+    ``X | Y << n``; the empty quotient's key is None.
     ``successors`` memoizes each key's per-letter successor keys, so atoms of
     the same DFA share the quotients they have in common.
     """
@@ -172,6 +192,9 @@ class _QuotientEngine:
             for q in range(n)
         ]
         self.outside = [self.every_column ^ bits for bits in self.inside]
+        # 4-bit tables: entries are bitsets as wide as the column count, so
+        # at regular n = 16 the engine keeps 4 MB with them, 12 MB with 8-bit.
+        self.conflicts = _chunk_tables(self.outside + self.inside, 4)
         self.letters = tuple(
             (tables, len(set(dfa.delta[letter].image)) == n)
             for letter, tables in zip(dfa.alphabet, _pair_tables(dfa))
@@ -182,20 +205,10 @@ class _QuotientEngine:
         """Key of the quotient recognized at pair state (x, y)."""
         if x & y:
             return None
-        inside, outside = self.inside, self.outside
-        signature = self.every_column
-        m = x
-        while m:
-            low = m & -m
-            signature &= inside[low.bit_length() - 1]
-            m ^= low
-        m = y
-        while m:
-            low = m & -m
-            signature &= outside[low.bit_length() - 1]
-            m ^= low
+        signature = self.every_column ^ _apply_tables(x | y << self.n, self.conflicts, 4)
         if not signature:
             return None
+        inside, outside = self.inside, self.outside
         m = self.full ^ (x | y)
         while m:
             low = m & -m
@@ -273,7 +286,8 @@ class _QuotientEngine:
         graph, the empty quotient counted once as the node None.
         """
         component, reach = _reach(self.key_graph()[1])
-        return [reach[component[i]].bit_count() for i in range(len(self.columns))]
+        counts = [bits.bit_count() for bits in reach]
+        return [counts[c] for c in component[: len(self.columns)]]
 
 
 def _reach(rows: list[list[int]]) -> tuple[list[int], list[int]]:

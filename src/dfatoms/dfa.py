@@ -292,14 +292,15 @@ def _discover(starts, step, letters: int, cap: int | None = None):
     number, so a step can tell an image that is already a node.  Returns the
     nodes in discovery order and, per letter, the 0-based row of successor
     indices.  More than ``cap`` nodes raise ``CapExceededError`` with the
-    count so far.  This one loop builds the reachable part of a DFA
-    (``_reachable_arrays``), the pair automaton of one atom or, from every
-    start pair at once, of all candidate atoms (``atoms._explore``), a prefix
-    closure's subset automaton (``ideals._prefix_closure``) and the graph of
-    quotient keys that counts every atom at once
-    (``atoms._QuotientEngine.key_graph``).  The column and semigroup
-    closures need no rows; a single atom's quotient walk shares the key
-    graph's ``step`` but stops at the keys that atom reaches; and the
+    count so far.  Nodes are opaque: each caller owns its encoding, such as
+    the packed pairs of ``atoms``.  This one loop builds the reachable part
+    of a DFA (``_reachable_arrays``), the pair automaton of one atom or, from
+    every start pair at once, of all candidate atoms (``atoms._explore``,
+    also the harness's emptiness check), a prefix closure's subset automaton
+    (``ideals._prefix_closure``) and the graph of quotient keys that counts
+    every atom at once (``atoms._QuotientEngine.key_graph``).  The column
+    and semigroup closures need no rows; a single atom's quotient walk shares
+    the key graph's ``step`` but stops at the keys that atom reaches; and the
     harness oracles keep their own searches, ending in ``_array_dfa`` where
     they build a DFA, to stay independent of the code they check.
     """
@@ -453,24 +454,6 @@ def _preimage_tables(dfa: Dfa, width: int = 8) -> list[tuple[tuple[int, ...], ..
             bits[r - 1] |= 1 << q
         tables.append(_chunk_tables(bits, width))
     return tables
-
-
-@functools.lru_cache(maxsize=1)
-def _pair_tables(dfa: Dfa) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per letter, the chunk tables mapping a packed pair ``X | Y << n`` to
-    the packed pair of its images.
-
-    Bit q-1 of the 2n bits maps to the image of state q and bit n+q-1 to that
-    image shifted by n, so one lookup chain maps both halves.  The halves are
-    packed back to back, not aligned on chunks: that is the quotient keys'
-    layout, and it needs no more chunks than the aligned one.  Cached per DFA.
-    """
-    n = dfa.state_count
-    tables = []
-    for letter in dfa.alphabet:
-        bits = [1 << (q - 1) for q in dfa.delta[letter].image]
-        tables.append(_chunk_tables(bits + [b << n for b in bits]))
-    return tuple(tables)
 
 
 def _column_masks(dfa: Dfa) -> set[int]:

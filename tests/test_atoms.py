@@ -195,6 +195,64 @@ def test_key_graph_of_witnesses_n8(kind, keys, components):
     assert len(atoms._reach(rows)[1]) == components
 
 
+def doubled(dfa):
+    """A non-minimal DFA: each state q of ``dfa`` gets a twin q + m whose
+    letters lead into the twins, so q and its twin have one language."""
+    m = dfa.state_count
+    delta = {}
+    for letter in dfa.alphabet:
+        image = dfa.delta[letter].image
+        delta[letter] = Transformation(image + tuple(r + m for r in image))
+    finals = dfa.finals | {q + m for q in dfa.finals}
+    return Dfa(2 * m, dfa.alphabet, delta, dfa.initial, frozenset(finals))
+
+
+def brute_key(engine, x, y):
+    """The key of (x, y) read off the compatible columns one by one."""
+    compatible = [col for col in engine.columns if col & x == x and not col & y]
+    if not compatible:
+        return None
+    inside_all = engine.full
+    outside_all = engine.full
+    for col in compatible:
+        inside_all &= col
+        outside_all &= engine.full ^ col
+    return inside_all | outside_all << engine.n
+
+
+KEY_CASES = [
+    regular_witness(5),
+    left_ideal_witness(6),
+    two_sided_ideal_witness(7),
+    random_dfa(RandomSpec(6, 2, seed=7)),
+    random_dfa(RandomSpec(7, 3, seed=11)),
+    doubled(regular_witness(3)),
+]
+
+
+@pytest.mark.parametrize(
+    "dfa", KEY_CASES,
+    ids=["regular-5", "left-6", "two-sided-7", "random-6", "random-7", "doubled-regular-3"],
+)
+def test_key_matches_brute_force_on_every_disjoint_pair(dfa):
+    # At n = 5..7 the packed Y starts inside a 4-bit chunk of the key tables.
+    engine = atoms._QuotientEngine(dfa)
+    n, full = engine.n, engine.full
+    for x in range(1 << n):
+        rest = full ^ x
+        y = rest
+        while True:
+            assert engine.key(x, y) == brute_key(engine, x, y), (x, y)
+            if not y:
+                break
+            y = (y - 1) & rest
+
+
+def test_doubled_dfa_is_not_minimal():
+    d = doubled(regular_witness(3))
+    assert minimize(d).state_count == 3 < d.state_count
+
+
 def universal_dfa(n, finals, fix_last):
     """States 1..n, initial 1, and one letter per map of the states, or per
     map fixing n when ``fix_last``."""

@@ -2,7 +2,6 @@ import pytest
 
 from dfatoms import (
     Dfa,
-    DfatomsError,
     IdealKind,
     InvalidBasisError,
     LimitExceededError,
@@ -13,7 +12,6 @@ from dfatoms import (
     atom_complexity,
     bound_sweep,
     cross_check,
-    enumerate_atoms,
     idealize,
     is_atom,
     minimize,
@@ -245,12 +243,3 @@ def test_bound_sweep_ideal_classes_at_n10(kind):
 def test_bound_sweep_rejects_ideal_n11(kind):
     with pytest.raises(ValueError, match="n <= 10"):
         bound_sweep(kind, 11, samples=1, seed=0)
-
-
-def test_bound_sweep_raises_typed_error_on_missing_complexity(monkeypatch):
-    def without_complexities(dfa):
-        return enumerate_atoms(dfa, with_complexities=False)
-
-    monkeypatch.setattr(harness, "enumerate_atoms", without_complexities)
-    with pytest.raises(DfatomsError, match="has no complexity"):
-        bound_sweep(WitnessClass.REGULAR, 3, samples=1, seed=0)
