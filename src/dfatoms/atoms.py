@@ -202,9 +202,7 @@ class _QuotientEngine:
         self.successors: dict[int | None, tuple[int | None, ...]] = {}
 
     def key(self, x: int, y: int) -> int | None:
-        """Key of the quotient recognized at pair state (x, y)."""
-        if x & y:
-            return None
+        """Key of the quotient recognized at the disjoint pair state (x, y)."""
         signature = self.every_column ^ _apply_tables(x | y << self.n, self.conflicts, 4)
         if not signature:
             return None
@@ -223,8 +221,9 @@ class _QuotientEngine:
     def step(self, node: int | None, index: Container) -> Sequence[int | None]:
         """The successor keys of ``node`` per letter; the empty quotient's are None.
 
-        ``index`` holds keys already found, and an image is canonicalized
-        with ``key`` only when neither shortcut applies:
+        ``index`` holds keys already found.  Colliding images are the empty
+        quotient, as in ``_explore``, and an image is canonicalized with
+        ``key`` only when neither shortcut applies:
 
         - An image in ``index`` is a key, and a key is its own key:
           canonicalizing keeps a pair's compatible columns, so it is idempotent.
@@ -241,7 +240,8 @@ class _QuotientEngine:
         for tables, permutes in self.letters:
             image = _apply_tables(node, tables)
             if not permutes and image not in index:
-                image = self.key(image & full, image >> n)
+                x, y = image & full, image >> n
+                image = None if x & y else self.key(x, y)
             images.append(image)
         return images
 

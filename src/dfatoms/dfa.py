@@ -112,15 +112,7 @@ class Transformation(_Frozen):
         for i, q in enumerate(image, start=1):
             if not isinstance(q, int) or not 1 <= q <= n:
                 raise InvalidDfaError(f"image of state {i} is {q!r}, not in 1..{n}")
-        object.__setattr__(self, "image", image)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.image == other.image
-
-    def __hash__(self) -> int:
-        return hash(self.image)
+        self._fill(image)
 
     @property
     def size(self) -> int:
@@ -297,12 +289,20 @@ def _discover(starts, step, letters: int, cap: int | None = None):
     of a DFA (``_reachable_arrays``), the pair automaton of one atom or, from
     every start pair at once, of all candidate atoms (``atoms._explore``,
     also the harness's emptiness check), a prefix closure's subset automaton
-    (``ideals._prefix_closure``) and the graph of quotient keys that counts
-    every atom at once (``atoms._QuotientEngine.key_graph``).  The column
-    and semigroup closures need no rows; a single atom's quotient walk shares
-    the key graph's ``step`` but stops at the keys that atom reaches; and the
-    harness oracles keep their own searches, ending in ``_array_dfa`` where
-    they build a DFA, to stay independent of the code they check.
+    (``ideals._prefix_closure``), the graph of quotient keys that counts
+    every atom at once (``atoms._QuotientEngine.key_graph``), the transition
+    semigroup (``transition_semigroup``) and the reversal oracle's subset
+    automaton (``harness.reversal_quotient_complexity``).
+
+    Three forward searches keep loops of their own.  The column closure
+    (``_column_masks``) runs on every enumeration and atom query, and
+    through this loop, building rows it does not need, it took 1.6-2x as
+    long at n = 10-16.  A single atom's quotient walk
+    (``_QuotientEngine.complexity``) shares the key graph's ``step`` but
+    stops at the keys that atom reaches and memoizes successors across
+    atoms; with rows it was about 13 % slower.  The monoid oracle
+    (``harness._MonoidDfa``) keeps its own search, ending in
+    ``_array_dfa``, to stay independent of the key graph it checks.
     """
     nodes = list(starts)
     index = {node: i for i, node in enumerate(nodes)}
@@ -391,32 +391,25 @@ def transition_semigroup(dfa: Dfa, cap: int) -> frozenset[Transformation]:
 
     The identity appears only if some non-empty word induces it.  Raises
     ``CapExceededError`` as soon as more than ``cap`` elements are found;
-    the error carries the partial count.  The closure runs breadth-first over
-    raw image tuples, composing through generators padded to 1-based
-    indexing, and wraps each element in a ``Transformation`` once, at the end.
+    the error carries the partial count, the distinct letter images all
+    counted first.  The closure is ``_discover``'s, over raw image tuples
+    composed through generators padded to 1-based indexing; each element is
+    wrapped in a ``Transformation`` once, at the end.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    images = [dfa.delta[letter].image for letter in dfa.alphabet]
-    padded = [(0, *image) for image in images]  # padded[k][q] is letter k's image of q
-    seen = set(images)
-    if len(seen) > cap:
-        raise CapExceededError(f"transition semigroup exceeds cap {cap}", len(seen))
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for g in padded:
-                c = tuple(map(g.__getitem__, t))
-                if c not in seen:
-                    seen.add(c)
-                    if len(seen) > cap:
-                        raise CapExceededError(
-                            f"transition semigroup exceeds cap {cap}", len(seen)
-                        )
-                    nxt.append(c)
-        frontier = nxt
-    return frozenset(map(Transformation, seen))
+    padded = [(0, *dfa.delta[letter].image) for letter in dfa.alphabet]
+    # _discover needs distinct starts, and two letters may share an image.
+    starts = list(dict.fromkeys(g[1:] for g in padded))
+    message = f"transition semigroup exceeds cap {cap}"
+    if len(starts) > cap:
+        raise CapExceededError(message, len(starts))
+    step = lambda t, _: [tuple(map(g.__getitem__, t)) for g in padded]
+    try:
+        elements, _ = _discover(starts, step, len(padded), cap)
+    except CapExceededError as exc:
+        raise CapExceededError(message, exc.partial) from None
+    return frozenset(map(Transformation, elements))
 
 
 def _chunk_tables(bits: list[int], width: int = 8) -> tuple[tuple[int, ...], ...]:

@@ -35,6 +35,7 @@ from .dfa import (
     _Frozen,
     _array_dfa,
     _basis_members,
+    _discover,
     _moore_blocks,
     _set_of,
     minimize,
@@ -204,29 +205,19 @@ def reversal_quotient_complexity(dfa: Dfa) -> int:
 
     Built the long way round: reverse every transition into a
     nondeterministic table, determinize by subset construction from the final
-    set, and minimize the result.
+    set, and minimize the result.  The subsets are frozensets mapped one
+    member at a time, with no chunk tables, so this stays independent of the
+    column closure it checks.
     """
     n = dfa.state_count
-    rev: dict[str, list[set[int]]] = {
-        letter: [set() for _ in range(n)] for letter in dfa.alphabet
-    }
-    for letter in dfa.alphabet:
-        t = dfa.delta[letter]
-        for q in range(1, n + 1):
-            rev[letter][t(q) - 1].add(q)
-
-    start = frozenset(dfa.finals)
-    subsets = [start]
-    index = {start: 0}
-    rows: list[list[int]] = [[] for _ in dfa.alphabet]
-    for current in subsets:  # appends to ``subsets`` as it goes
-        for letter, row in zip(dfa.alphabet, rows):
-            image = frozenset(p for q in current for p in rev[letter][q - 1])
-            j = index.get(image)
-            if j is None:
-                j = index[image] = len(subsets)
-                subsets.append(image)
-            row.append(j)
+    rev = [[set() for _ in range(n)] for _ in dfa.alphabet]  # rev[k][r-1]: states sent onto r
+    for letter, sources in zip(dfa.alphabet, rev):
+        for q, r in enumerate(dfa.delta[letter].image, start=1):
+            sources[r - 1].add(q)
+    step = lambda current, _: [
+        frozenset(p for q in current for p in sources[q - 1]) for sources in rev
+    ]
+    subsets, rows = _discover([frozenset(dfa.finals)], step, len(rev))
     return quotient_complexity(
         _array_dfa(dfa.alphabet, rows, [dfa.initial in s for s in subsets])
     )
@@ -294,16 +285,11 @@ def cross_check(dfa: Dfa, description: str = "") -> CrossCheckReport:
     equal its pair route.  The atom count is the number of columns.
     """
     minimal = minimize(dfa)
-    n = minimal.state_count
-    if n > ORACLE_STATE_LIMIT:
-        raise LimitExceededError(
-            f"cross_check supports at most {ORACLE_STATE_LIMIT} states, got {n}"
-        )
-    monoid = _MonoidDfa(minimal)
+    monoid = _MonoidDfa(minimal)  # refuses more than ORACLE_STATE_LIMIT states
 
     one_pass = {info.basis: info.complexity for info in enumerate_atoms(minimal).atoms}
     checks = []
-    for mask in range(1 << n):
+    for mask in range(1 << minimal.state_count):
         basis = _set_of(mask)
         pair_route = atom_complexity(minimal, basis) if is_atom(minimal, basis) else 0
         checks.append(BasisCheck(basis, pair_route, monoid.complexity_for(basis)))

@@ -40,6 +40,7 @@ from dfatoms import (
     state_language_contains,
     successor_sets,
     transition_semigroup,
+    two_sided_ideal_witness,
 )
 from dfatoms import atoms, harness
 from dfatoms.dfa import _moore_blocks
@@ -293,7 +294,16 @@ def test_semigroup_agrees_with_brute_closure(dfa):
     assert {t.image for t in transition_semigroup(dfa, n**n)} == brute_semigroup(dfa)
 
 
-@pytest.mark.parametrize("dfa", [regular_witness(4), left_ideal_witness(4), DUPLICATED_STATE])
+@pytest.mark.parametrize(
+    "dfa",
+    [
+        regular_witness(4),
+        left_ideal_witness(4),
+        DUPLICATED_STATE,
+        two_sided_ideal_witness(4),  # a = b
+        two_sided_ideal_witness(2),  # a = c
+    ],
+)
 def test_semigroup_cap_below_size_raises_with_partial_count(dfa):
     size = len(brute_semigroup(dfa))
     letters = len({t.image for t in dfa.delta.values()})
