@@ -46,7 +46,7 @@ _EXPORTS = {
         "reversal_quotient_complexity",
     ),
     "ideals": (
-        "IdealKind", "accepting_sink", "idealize", "is_left_ideal", "is_right_ideal",
+        "accepting_sink", "idealize", "is_left_ideal", "is_right_ideal",
         "is_two_sided_ideal", "refined_two_sided_bound", "successor_sets",
     ),
     "witnesses": (

@@ -379,12 +379,12 @@ def atom_complexity(dfa: Dfa, basis: Iterable[int]) -> int:
 class AtomInfo(_Frozen):
     __slots__ = ("basis", "complexity")
 
-    def __init__(self, basis: frozenset[int], complexity: int | None) -> None:
+    def __init__(self, basis: frozenset[int], complexity: int) -> None:
         self._fill(basis, complexity)
 
 
 class AtomReport(_Frozen):
-    """All atoms of a language, with optional per-atom complexity."""
+    """All atoms of a language, with their complexities."""
 
     __slots__ = ("state_count", "atoms")
 
@@ -396,21 +396,20 @@ class AtomReport(_Frozen):
         return len(self.atoms)
 
 
-def enumerate_atoms(dfa: Dfa, with_complexities: bool = True) -> AtomReport:
+def enumerate_atoms(dfa: Dfa) -> AtomReport:
     """Enumerate the atoms of the language of ``dfa``.
 
     Minimizes first when the input is not already minimal, so bases refer to
     the states of the minimal DFA.  Bases come from the achievable-column
     closure.  The complexities come from one pass over the graph of every
     quotient key that some atom reaches: each atom counts the keys its start
-    key reaches, read off the graph's strongly connected components.  Pass
-    ``with_complexities=False`` to skip that pass when only the count matters.
+    key reaches, read off the graph's strongly connected components.
     """
     minimal = minimize(dfa)
     if minimal.state_count == dfa.state_count:
         minimal = dfa
     engine = _engine(minimal)
-    counts = engine.complexities() if with_complexities else [None] * len(engine.columns)
+    counts = engine.complexities()
     infos = sorted(
         (AtomInfo(_set_of(col), count) for col, count in zip(engine.columns, counts)),
         key=lambda info: (len(info.basis), sorted(info.basis)),

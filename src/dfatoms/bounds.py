@@ -10,20 +10,9 @@ from __future__ import annotations
 from math import comb
 
 from .dfa import _Frozen
-from .witnesses import WitnessClass
+from .witnesses import _FIXED, WitnessClass
 
 TABLE_N_LIMIT = 12
-
-
-# Per class, the two fixed states that set its bounds apart from the regular
-# ones, as 0 or 1: whether the accepting sink lies in every atom's basis, and
-# whether the initial state (state 1) lies in no basis except Q.
-_FIXED = {
-    WitnessClass.REGULAR: (0, 0),
-    WitnessClass.RIGHT_IDEAL: (1, 0),
-    WitnessClass.LEFT_IDEAL: (0, 1),
-    WitnessClass.TWO_SIDED_IDEAL: (1, 1),
-}
 
 
 def _check(n: int, size: int) -> None:

@@ -17,11 +17,10 @@ import sys
 # one called.
 from . import atoms, bounds, dfa, dfaformat, harness, ideals, witnesses
 from .errors import DfatomsError
-from .ideals import IdealKind
 from .witnesses import WitnessClass
 
 _CLASS_NAMES = [kind.value for kind in WitnessClass]
-_KIND_NAMES = [kind.value for kind in IdealKind]
+_KIND_NAMES = [kind.value for kind in WitnessClass if kind is not WitnessClass.REGULAR]
 
 
 def _load_dfa(path: str) -> dfa.Dfa:
@@ -146,7 +145,7 @@ def _cmd_check_ideal(args: argparse.Namespace) -> int:
 
 
 def _cmd_idealize(args: argparse.Namespace) -> int:
-    closed = ideals.idealize(_load_dfa(args.dfa), IdealKind(args.kind))
+    closed = ideals.idealize(_load_dfa(args.dfa), WitnessClass(args.kind))
     _write(dfaformat.render_dfa(closed), args.out)
     return 0
 

@@ -301,8 +301,9 @@ def _discover(starts, step, letters: int, cap: int | None = None):
     (``_QuotientEngine.complexity``) shares the key graph's ``step`` but
     stops at the keys that atom reaches and memoizes successors across
     atoms; with rows it was about 13 % slower.  The monoid oracle
-    (``harness._MonoidDfa``) keeps its own search, ending in
-    ``_array_dfa``, to stay independent of the key graph it checks.
+    (``harness._MonoidDfa``) keeps its own search, which also records each
+    element's predecessors and groups the elements by column, to stay
+    independent of the key graph it checks.
     """
     nodes = list(starts)
     index = {node: i for i, node in enumerate(nodes)}

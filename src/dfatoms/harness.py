@@ -42,7 +42,7 @@ from .dfa import (
     quotient_complexity,
 )
 from .errors import LimitExceededError
-from .ideals import IdealKind, accepting_sink, idealize
+from .ideals import accepting_sink, idealize
 from .witnesses import WitnessClass, witness
 
 ORACLE_STATE_LIMIT = 6
@@ -308,7 +308,11 @@ def cross_check(dfa: Dfa, description: str = "") -> CrossCheckReport:
 
 
 class SweepReport(_Frozen):
-    """Outcome of a randomized bound-saturation sweep for one class."""
+    """Outcome of a randomized bound-saturation sweep for one class.
+
+    ``max_observed`` holds (basis size, largest complexity seen) pairs in
+    size order.
+    """
 
     __slots__ = (
         "kind", "n", "samples", "seed", "checked",
@@ -317,8 +321,8 @@ class SweepReport(_Frozen):
 
     def __init__(
         self, kind: WitnessClass, n: int, samples: int, seed: int, checked: int,
-        max_observed: dict[int, int], violations: tuple[str, ...], witness_attains: bool,
-        skipped: tuple[str, ...],
+        max_observed: tuple[tuple[int, int], ...], violations: tuple[str, ...],
+        witness_attains: bool, skipped: tuple[str, ...],
     ) -> None:
         self._fill(
             kind, n, samples, seed, checked, max_observed, violations, witness_attains, skipped
@@ -358,11 +362,7 @@ def bound_sweep(kind: WitnessClass, n: int, samples: int, seed: int) -> SweepRep
     witness_attains = True
     checked = 0
     for label, instance in instances:
-        if kind is WitnessClass.REGULAR:
-            closed = instance
-        else:
-            closed = idealize(instance, IdealKind(kind.value))
-        minimal = minimize(closed)
+        minimal = minimize(idealize(instance, kind))
         m = minimal.state_count
         if not minimal.finals:
             skipped.append(f"{label}: empty language")
@@ -390,7 +390,7 @@ def bound_sweep(kind: WitnessClass, n: int, samples: int, seed: int) -> SweepRep
         samples=samples,
         seed=seed,
         checked=checked,
-        max_observed=max_observed,
+        max_observed=tuple(sorted(max_observed.items())),
         violations=tuple(violations),
         witness_attains=witness_attains,
         skipped=tuple(skipped),

@@ -8,7 +8,6 @@ The predicates work on the minimized automaton and reject the empty language.
 from __future__ import annotations
 
 import functools
-from enum import Enum
 
 from .dfa import (
     Dfa,
@@ -23,14 +22,9 @@ from .dfa import (
     minimize,
 )
 from .errors import EmptyLanguageError, NotAnIdealError
+from .witnesses import _FIXED, WitnessClass
 
 DETERMINIZE_CAP = 1 << 16
-
-
-class IdealKind(Enum):
-    RIGHT = "right"
-    LEFT = "left"
-    TWO_SIDED = "two-sided"
 
 
 @functools.lru_cache(maxsize=1)
@@ -92,18 +86,21 @@ def _prefix_closure(dfa: Dfa, cap: int) -> Dfa:
     return minimize(_array_dfa(dfa.alphabet, rows, [s & fmask for s in subsets]))
 
 
-def idealize(dfa: Dfa, kind: IdealKind, cap: int = DETERMINIZE_CAP) -> Dfa:
-    """A DFA for the ideal closure of the language.
+def idealize(dfa: Dfa, kind: WitnessClass, cap: int = DETERMINIZE_CAP) -> Dfa:
+    """A DFA for the closure of the language into the class ``kind``.
 
-    Right: make final states absorbing (suffix closure).  Left: allow an
-    arbitrary prefix before the original run, then determinize and minimize
-    (prefix closure).  Two-sided: prefix closure of the suffix closure.
+    A class that fixes the accepting sink makes final states absorbing
+    (suffix closure); one that fixes the initial state then allows an
+    arbitrary prefix before the run, and determinizes and minimizes (prefix
+    closure).  A two-sided ideal takes both; ``REGULAR`` takes neither and
+    returns ``dfa`` itself.
     """
-    if kind is IdealKind.RIGHT:
-        return _absorb_finals(dfa)
-    if kind is IdealKind.LEFT:
-        return _prefix_closure(dfa, cap)
-    return _prefix_closure(_absorb_finals(dfa), cap)
+    sink, init = _FIXED[kind]
+    if sink:
+        dfa = _absorb_finals(dfa)
+    if init:
+        dfa = _prefix_closure(dfa, cap)
+    return dfa
 
 
 def accepting_sink(dfa: Dfa) -> int | None:

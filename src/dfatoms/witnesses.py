@@ -19,6 +19,18 @@ class WitnessClass(Enum):
     TWO_SIDED_IDEAL = "two-sided"
 
 
+# Per class, the two fixed states that set it apart from the regular
+# languages, as 0 or 1: whether the accepting sink lies in every atom's basis
+# (L = LΣ*), and whether the initial state (state 1) lies in no basis except Q
+# (L = Σ*L).  The bounds count with them and the ideal closures apply them.
+_FIXED = {
+    WitnessClass.REGULAR: (0, 0),
+    WitnessClass.RIGHT_IDEAL: (1, 0),
+    WitnessClass.LEFT_IDEAL: (0, 1),
+    WitnessClass.TWO_SIDED_IDEAL: (1, 1),
+}
+
+
 def _dfa(n: int, **letters: Transformation) -> Dfa:
     """The witness on states 1..n with initial state 1, final state n, and
     ``letters`` in the order given."""

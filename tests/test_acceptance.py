@@ -10,7 +10,6 @@ from pathlib import Path
 
 from dfatoms import (
     Dfa,
-    IdealKind,
     RandomSpec,
     Transformation,
     WitnessClass,
@@ -187,16 +186,16 @@ def test_criterion_5_reversal_identity():
     for i in range(200):
         spec = RandomSpec(2 + i % 6, 2 + i % 2, seed=20000 + i)
         d = random_dfa(spec)
-        count = enumerate_atoms(d, with_complexities=False).count
+        count = enumerate_atoms(d).count
         assert count == reversal_quotient_complexity(d), spec
 
 
 @criterion("6 ideal closure soundness")
 def test_criterion_6_ideal_closure_soundness():
     checks = [
-        (IdealKind.RIGHT, is_right_ideal),
-        (IdealKind.LEFT, is_left_ideal),
-        (IdealKind.TWO_SIDED, is_two_sided_ideal),
+        (RIGHT, is_right_ideal),
+        (LEFT, is_left_ideal),
+        (TS, is_two_sided_ideal),
     ]
     for kind, predicate in checks:
         checked = 0
@@ -218,7 +217,7 @@ def test_criterion_6_ideal_closure_soundness():
         d = random_dfa(RandomSpec(3 + i % 3, 2, seed=50000 + i))
         if not minimize(d).finals:
             continue
-        closed = minimize(idealize(d, IdealKind.TWO_SIDED))
+        closed = minimize(idealize(d, TS))
         m = closed.state_count
         refined = refined_two_sided_bound(closed)
         assert refined <= (1 << max(m - 2, 0)) + m - 1

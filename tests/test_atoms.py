@@ -352,17 +352,11 @@ def test_enumerate_atoms_minimizes_first():
     assert report.count == enumerate_atoms(minimize(d)).count
 
 
-def test_enumerate_atoms_without_complexities():
-    report = enumerate_atoms(regular_witness(4), with_complexities=False)
-    assert report.count == 16
-    assert all(info.complexity is None for info in report.atoms)
-
-
 def test_atoms_partition_words():
     rng = random.Random(11)
     for seed in range(10):
         d = minimize(random_dfa(RandomSpec(2 + seed % 4, 2, seed=600 + seed)))
-        bases = {info.basis for info in enumerate_atoms(d, with_complexities=False).atoms}
+        bases = {info.basis for info in enumerate_atoms(d).atoms}
         for _ in range(30):
             word = [rng.choice(d.alphabet) for _ in range(rng.randint(0, 2 * d.state_count))]
             column = column_of(d, word)

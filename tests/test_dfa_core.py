@@ -28,7 +28,7 @@ from dfatoms import (
     left_ideal_witness,
 )
 from dfatoms.dfa import _apply_tables, _chunk_tables, _containment_masks, _preimage_tables
-from dfatoms.ideals import IdealKind, idealize, is_left_ideal
+from dfatoms.ideals import idealize, is_left_ideal
 from oracles import (
     brute_columns,
     brute_partition,
@@ -204,6 +204,30 @@ def test_semigroup_of_left_witness():
     assert {t.image for t in elems} == brute_semigroup(d)
 
 
+# Syntactic complexity (the size of the transition semigroup) of each ideal
+# class's witness, cross-checked against the brute closure up to n = 5.
+# Two-sided n = 3 is left out: its reduced three-letter witness generates 5
+# elements, against the formula's 6.
+SEMIGROUP_SIZES = {
+    WitnessClass.RIGHT_IDEAL: (range(3, 7), lambda n: n ** (n - 1)),
+    WitnessClass.LEFT_IDEAL: (range(3, 7), lambda n: n ** (n - 1) + n - 1),
+    WitnessClass.TWO_SIDED_IDEAL: (
+        range(4, 7), lambda n: n ** (n - 2) + (n - 2) * 2 ** (n - 2) + 1
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, n", [(kind, n) for kind, (ns, _) in SEMIGROUP_SIZES.items() for n in ns]
+)
+def test_semigroup_size_of_ideal_witnesses(kind, n):
+    d = witness(kind, n)
+    elems = transition_semigroup(d, n**n)
+    assert len(elems) == SEMIGROUP_SIZES[kind][1](n)
+    if n <= 5:
+        assert {t.image for t in elems} == brute_semigroup(d)
+
+
 def test_semigroup_cap_carries_partial_count():
     with pytest.raises(CapExceededError) as info:
         transition_semigroup(regular_witness(4), 100)
@@ -300,7 +324,7 @@ def test_preimage_tables_map_a_mask_to_the_states_sent_into_it(width):
 def test_containment_on_a_580_state_closure_stays_small():
     # 4-bit preimage tables peak at about 0.65 MB here; 6-bit ones would
     # take 1.44 MB and 8-bit ones 4.14 MB.
-    closed = idealize(random_dfa(RandomSpec(14, 3, 33, 0.1)), IdealKind.LEFT)
+    closed = idealize(random_dfa(RandomSpec(14, 3, 33, 0.1)), WitnessClass.LEFT_IDEAL)
     assert closed.state_count == 580
     _containment_masks.cache_clear()
     tracemalloc.start()

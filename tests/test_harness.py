@@ -2,7 +2,6 @@ import pytest
 
 from dfatoms import (
     Dfa,
-    IdealKind,
     InvalidBasisError,
     LimitExceededError,
     RandomSpec,
@@ -107,7 +106,7 @@ def test_cross_check_random_dfas():
 def test_cross_check_idealized_random_dfas():
     for seed in range(10):
         d = random_dfa(RandomSpec(4, 2, seed=8800 + seed))
-        closed = idealize(d, IdealKind.TWO_SIDED)
+        closed = idealize(d, WitnessClass.TWO_SIDED_IDEAL)
         if closed.state_count <= 6:
             assert cross_check(closed).passed
 
@@ -213,7 +212,7 @@ def test_bound_sweep_two_sided():
 def test_bound_sweep_regular_trivial_language():
     report = bound_sweep(WitnessClass.REGULAR, 1, samples=5, seed=3)
     assert report.passed
-    assert report.max_observed == {1: 1}
+    assert report.max_observed == ((1, 1),)
 
 
 def test_bound_sweep_right_ideals():

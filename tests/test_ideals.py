@@ -8,10 +8,10 @@ from dfatoms import (
     CapExceededError,
     Dfa,
     EmptyLanguageError,
-    IdealKind,
     NotAnIdealError,
     RandomSpec,
     Transformation,
+    WitnessClass,
     accepting_sink,
     atom_complexity,
     is_atom,
@@ -67,19 +67,36 @@ def test_empty_language_rejected():
 
 def test_right_idealize_fixes_right_ideals():
     d = right_ideal_witness(5)
-    assert minimize(idealize(d, IdealKind.RIGHT)) == minimize(d)
+    assert minimize(idealize(d, WitnessClass.RIGHT_IDEAL)) == minimize(d)
+    # the regular class fixes neither state, so its closure is the input
+    assert idealize(d, WitnessClass.REGULAR) is d
+
+
+def test_idealize_rejects_a_kind_that_is_not_a_class():
+    # a class's value is not the class: no closure is picked for it
+    d = random_dfa(RandomSpec(5, 2, 3))
+    for kind in ("left", "right", None):
+        with pytest.raises(KeyError):
+            idealize(d, kind)
 
 
 def language_is_empty(d):
     return not minimize(d).finals
 
 
+# The ids here and in test_determinization_cap_is_exact are pinned, so
+# recorded test runs keep matching these cases by name.
 @pytest.mark.parametrize(
     "kind,predicate",
     [
-        (IdealKind.RIGHT, is_right_ideal),
-        (IdealKind.LEFT, is_left_ideal),
-        (IdealKind.TWO_SIDED, is_two_sided_ideal),
+        (WitnessClass.RIGHT_IDEAL, is_right_ideal),
+        (WitnessClass.LEFT_IDEAL, is_left_ideal),
+        (WitnessClass.TWO_SIDED_IDEAL, is_two_sided_ideal),
+    ],
+    ids=[
+        "IdealKind.RIGHT-is_right_ideal",
+        "IdealKind.LEFT-is_left_ideal",
+        "IdealKind.TWO_SIDED-is_two_sided_ideal",
     ],
 )
 def test_idealize_satisfies_predicate(kind, predicate):
@@ -97,7 +114,7 @@ def test_idealize_satisfies_predicate(kind, predicate):
 def test_right_idealize_size():
     for seed in range(50):
         d = random_dfa(RandomSpec(5, 3, seed=900 + seed))
-        closed = minimize(idealize(d, IdealKind.RIGHT))
+        closed = minimize(idealize(d, WitnessClass.RIGHT_IDEAL))
         assert closed.state_count <= d.state_count + 1
 
 
@@ -134,7 +151,7 @@ def test_two_sided_ideal_states_see_the_sink():
         d = random_dfa(RandomSpec(4, 2, seed=1500 + seed))
         if language_is_empty(d):
             continue
-        closed = minimize(idealize(d, IdealKind.TWO_SIDED))
+        closed = minimize(idealize(d, WitnessClass.TWO_SIDED_IDEAL))
         sink = accepting_sink(closed)
         assert sink is not None
         succ = successor_sets(closed)
@@ -167,7 +184,7 @@ def test_refined_bound_brackets_the_atom():
         d = random_dfa(RandomSpec(3 + seed % 3, 2, seed=6000 + seed))
         if language_is_empty(d):
             continue
-        closed = minimize(idealize(d, IdealKind.TWO_SIDED))
+        closed = minimize(idealize(d, WitnessClass.TWO_SIDED_IDEAL))
         n = closed.state_count
         bound = refined_two_sided_bound(closed)
         assert bound <= (1 << max(n - 2, 0)) + n - 1
@@ -206,7 +223,11 @@ def test_each_dfa_is_minimized_once(tmp_path, capsys, monkeypatch):
 # Random 14-state DFAs whose left and two-sided closures both determinize to
 # more than one subset (96 to 213 before minimizing).
 @pytest.mark.parametrize("seed", (3, 7, 9, 12))
-@pytest.mark.parametrize("kind", (IdealKind.LEFT, IdealKind.TWO_SIDED))
+@pytest.mark.parametrize(
+    "kind",
+    (WitnessClass.LEFT_IDEAL, WitnessClass.TWO_SIDED_IDEAL),
+    ids=("IdealKind.LEFT", "IdealKind.TWO_SIDED"),
+)
 def test_determinization_cap_is_exact(seed, kind):
     dfa = random_dfa(RandomSpec(14, 2 + seed % 2, seed))
     for cap in itertools.count(1):

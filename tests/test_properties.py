@@ -15,10 +15,10 @@ from dfatoms import (
     CapExceededError,
     Dfa,
     EmptyLanguageError,
-    IdealKind,
     NotAnAtomError,
     RandomSpec,
     Transformation,
+    WitnessClass,
     atom_bases_by_reversal,
     atom_complexity,
     build_atom_dfa,
@@ -391,7 +391,7 @@ CLOSURE_SEEDS = (8004, 8015, 8017, 8032, 8035)
 def test_containment_on_closures_agrees_with_pair_search(seed):
     dfa = random_dfa(RandomSpec(10 + seed % 5, 2 + seed % 2, seed=seed))
     assert check_containment(dfa) is False
-    for kind in (IdealKind.LEFT, IdealKind.TWO_SIDED):
+    for kind in (WitnessClass.LEFT_IDEAL, WitnessClass.TWO_SIDED_IDEAL):
         closed = idealize(dfa, kind)
         # Closures are minimal, so successor_sets already covers every pair.
         assert check_containment(closed, every_pair=False) is True
@@ -399,22 +399,22 @@ def test_containment_on_closures_agrees_with_pair_search(seed):
 
 def test_containment_on_every_pair_of_a_large_closure():
     dfa = random_dfa(RandomSpec(12, 3, seed=8017))
-    closed = idealize(dfa, IdealKind.LEFT)
+    closed = idealize(dfa, WitnessClass.LEFT_IDEAL)
     assert closed.state_count == 100
     assert check_containment(closed, every_pair=True) is True
 
 
 IN_CLASS = {
-    IdealKind.RIGHT: is_right_ideal,
-    IdealKind.LEFT: is_left_ideal,
-    IdealKind.TWO_SIDED: is_two_sided_ideal,
+    WitnessClass.RIGHT_IDEAL: is_right_ideal,
+    WitnessClass.LEFT_IDEAL: is_left_ideal,
+    WitnessClass.TWO_SIDED_IDEAL: is_two_sided_ideal,
 }
 
 
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
-@example(DUPLICATED_STATE, IdealKind.LEFT)
-@example(UNREACHABLE_STATES, IdealKind.TWO_SIDED)
-@given(small_dfas(), st.sampled_from(IdealKind))
+@example(DUPLICATED_STATE, WitnessClass.LEFT_IDEAL)
+@example(UNREACHABLE_STATES, WitnessClass.TWO_SIDED_IDEAL)
+@given(small_dfas(), st.sampled_from(tuple(IN_CLASS)))
 def test_idealize_lands_in_its_class_and_is_idempotent(dfa, kind):
     closed = idealize(dfa, kind)
     if not minimize(dfa).finals:

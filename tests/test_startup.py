@@ -96,13 +96,14 @@ print(json.dumps(sorted(
 @pytest.mark.parametrize(
     "argv, called, skipped",
     [
-        (["--help"], {"errors", "ideals", "witnesses"},
-         {"atoms", "harness", "bounds", "dfaformat"}),
+        (["--help"], {"errors", "witnesses"},
+         {"atoms", "harness", "bounds", "dfaformat", "ideals"}),
         (["check-ideal", "--dfa", "{dfa}"], {"dfaformat", "ideals"},
          {"atoms", "harness", "bounds"}),
         (["idealize", "--dfa", "{dfa}", "--kind", "left"], {"dfaformat", "ideals"},
          {"atoms", "harness", "bounds"}),
-        (["atoms", "--dfa", "{dfa}"], {"dfaformat", "dfa", "atoms"}, {"harness", "bounds"}),
+        (["atoms", "--dfa", "{dfa}"], {"dfaformat", "dfa", "atoms"},
+         {"harness", "bounds", "ideals"}),
     ],
     ids=["help", "check-ideal", "idealize", "atoms"],
 )
