@@ -62,7 +62,7 @@ class PairState(_Frozen):
     __slots__ = ("x", "y", "is_bottom")
 
     def __init__(self, x: Iterable[int], y: Iterable[int], is_bottom: bool = False) -> None:
-        self._fill(frozenset(x), frozenset(y), is_bottom)
+        super().__init__(frozenset(x), frozenset(y), is_bottom)
         if self.is_bottom:
             if self.x or self.y:
                 raise ValueError("the sink pair state carries no subsets")
@@ -377,19 +377,15 @@ def atom_complexity(dfa: Dfa, basis: Iterable[int]) -> int:
 
 
 class AtomInfo(_Frozen):
-    __slots__ = ("basis", "complexity")
+    """One atom: its basis (a frozenset of states) and its quotient complexity."""
 
-    def __init__(self, basis: frozenset[int], complexity: int) -> None:
-        self._fill(basis, complexity)
+    __slots__ = ("basis", "complexity")
 
 
 class AtomReport(_Frozen):
-    """All atoms of a language, with their complexities."""
+    """All atoms of a language, as ``AtomInfo``s ordered by basis size, then basis."""
 
     __slots__ = ("state_count", "atoms")
-
-    def __init__(self, state_count: int, atoms: tuple[AtomInfo, ...]) -> None:
-        self._fill(state_count, atoms)
 
     @property
     def count(self) -> int:

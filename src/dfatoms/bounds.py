@@ -93,15 +93,10 @@ def bound_for_basis(
 
 class BoundsTable(_Frozen):
     """Per-size bounds for one class and complexity, plus the max and the
-    growth ratio against the previous complexity."""
+    growth ratio against the previous complexity: ``rows[s]`` is the bound
+    for basis size s (None where undefined), and ``ratio`` is None at n = 1."""
 
     __slots__ = ("kind", "n", "rows", "max_value", "ratio")
-
-    def __init__(
-        self, kind: WitnessClass, n: int, rows: tuple[int | None, ...],
-        max_value: int, ratio: float | None,
-    ) -> None:
-        self._fill(kind, n, rows, max_value, ratio)
 
 
 def build_table(kind: WitnessClass, n_max: int) -> tuple[BoundsTable, ...]:

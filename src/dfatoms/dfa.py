@@ -49,21 +49,29 @@ def _basis_members(n: int, basis: Iterable[int]) -> frozenset[int]:
         members = frozenset(basis)
     except TypeError as exc:
         raise InvalidBasisError(f"basis ids must be int state ids in 1..{n}: {exc}") from None
-    bad = [q for q in members if not (isinstance(q, int) and 1 <= q <= n)]
+    bad = _bad_ids(n, members)
     if bad:
-        bad.sort(key=lambda q: (0, q, "") if isinstance(q, int) else (1, 0, repr(q)))
         raise InvalidBasisError(f"basis ids {bad} not within 1..{n}")
     return members
+
+
+def _bad_ids(n: int, ids: Iterable) -> list:
+    """The members of ``ids`` that are not int state ids in 1..n, ints first."""
+    bad = [q for q in ids if not (isinstance(q, int) and 1 <= q <= n)]
+    bad.sort(key=lambda q: (0, q, "") if isinstance(q, int) else (1, 0, repr(q)))
+    return bad
 
 
 class _Frozen:
     """Base of the immutable value types: slotted, compared and hashed by value.
 
-    A subclass lists its fields in ``__slots__`` in the order its ``__init__``
-    takes them, and sets them there with ``_fill``; after that, assignment and
-    deletion raise ``AttributeError``.  Equality, hashing, ``repr`` and
-    ``__reduce__`` (so ``copy`` and ``pickle``) read the fields through one
-    ``attrgetter`` per class, and values of different classes are never equal.
+    A subclass declares its fields once, in ``__slots__``.  The one constructor
+    binds them positionally in that order, then by name; a missing, extra,
+    unknown or repeated field raises ``TypeError``, and a subclass that coerces
+    passes the coerced values.  After that, assignment and deletion raise
+    ``AttributeError``.  Equality, hashing, ``repr`` and ``__reduce__`` (so
+    ``copy`` and ``pickle``) read the fields through one ``attrgetter`` per
+    class, and values of different classes are never equal.
     """
 
     __slots__ = ()
@@ -74,8 +82,16 @@ class _Frozen:
             get = lambda obj, one=get: (one(obj),)
         cls._values = staticmethod(get)
 
-    def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+    def __init__(self, *values, **named) -> None:
+        names = self.__slots__
+        if named:
+            values += tuple(named.pop(k) for k in names[len(values):] if k in named)
+        if named or len(values) != len(names):
+            raise TypeError(
+                f"{type(self).__name__}() takes the fields ({', '.join(names)}); "
+                f"{len(values)} bound, keyword(s) {sorted(named)} left over"
+            )
+        for name, value in zip(names, values):
             object.__setattr__(self, name, value)
 
     def _immutable(self, name: str, value=None) -> None:
@@ -112,7 +128,7 @@ class Transformation(_Frozen):
         for i, q in enumerate(image, start=1):
             if not isinstance(q, int) or not 1 <= q <= n:
                 raise InvalidDfaError(f"image of state {i} is {q!r}, not in 1..{n}")
-        self._fill(image)
+        super().__init__(image)
 
     @property
     def size(self) -> int:
@@ -176,19 +192,19 @@ class Dfa(_Frozen):
         delta: Mapping[str, Transformation], initial: int, finals: Iterable[int],
     ) -> None:
         delta = MappingProxyType(dict(delta))
-        self._fill(state_count, tuple(alphabet), delta, initial, frozenset(finals))
+        super().__init__(state_count, tuple(alphabet), delta, initial, frozenset(finals))
         n = self.state_count
-        if n < 1:
-            raise InvalidDfaError("state count must be positive")
+        if not isinstance(n, int) or n < 1:
+            raise InvalidDfaError(f"state count must be a positive int, got {n!r}")
         if not self.alphabet:
             raise InvalidDfaError("alphabet must be non-empty")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise InvalidDfaError("alphabet letters must be distinct")
         for letter in self.alphabet:
-            if not letter or letter.split() != [letter] or "#" in letter:
+            if not isinstance(letter, str) or letter.split() != [letter] or "#" in letter:
                 raise InvalidDfaError(
                     f"letter {letter!r} must be a non-empty token without '#'"
                 )
+        if len(set(self.alphabet)) != len(self.alphabet):
+            raise InvalidDfaError("alphabet letters must be distinct")
         if set(self.delta) != set(self.alphabet):
             missing = sorted(set(self.alphabet) - set(self.delta))
             extra = sorted(set(self.delta) - set(self.alphabet))
@@ -196,14 +212,15 @@ class Dfa(_Frozen):
                 f"delta letters do not match alphabet (missing {missing}, extra {extra})"
             )
         for letter, trans in self.delta.items():
-            if trans.size != n:
+            if not isinstance(trans, Transformation) or trans.size != n:
                 raise InvalidDfaError(
-                    f"transformation for {letter!r} acts on {trans.size} states, expected {n}"
+                    f"delta for {letter!r} is {trans!r}, not a transformation of {n} states"
                 )
-        if not 1 <= self.initial <= n:
-            raise InvalidDfaError(f"initial state {self.initial} not in 1..{n}")
-        if not self.finals <= frozenset(range(1, n + 1)):
-            raise InvalidDfaError(f"final states {sorted(self.finals)} not within 1..{n}")
+        if not (isinstance(self.initial, int) and 1 <= self.initial <= n):
+            raise InvalidDfaError(f"initial state {self.initial!r} not in 1..{n}")
+        bad = _bad_ids(n, self.finals)
+        if bad:
+            raise InvalidDfaError(f"final states {bad} not within 1..{n}")
 
     def __hash__(self) -> int:
         return hash(

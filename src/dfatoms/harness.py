@@ -1,13 +1,13 @@
 """Independent oracles and randomized cross-checking.
 
 The atom-complexity oracle never builds the pair automaton: it runs the DFA
-whose states are the word-induced transformations (the transformation
-monoid) and accepts exactly when the current transformation's column equals
-the requested basis.  That DFA recognizes the same atom, so its quotient
-complexity must agree with the pair-automaton route.  The monoid automaton is
-built once per DFA, by one breadth-first search of its own over raw image
-tuples from the identity, and its elements are grouped by column, so a basis
-finds its final elements with one lookup.
+whose states are the word-induced transformations (the transformation monoid)
+and accepts exactly when the current transformation's column equals the
+requested basis.  That DFA recognizes the same atom, so its quotient
+complexity must agree with ``atom_complexity``'s walk over quotient keys.
+The monoid automaton is built once per DFA, by one breadth-first search of
+its own over raw image tuples from the identity, and its elements are grouped
+by column, so a basis finds its final elements with one lookup.
 
 Moore refinement runs only on the live part, the elements from which some
 word reaches an accepting one; the dead elements all recognize the empty
@@ -64,7 +64,10 @@ class RandomSpec(_Frozen):
     def __init__(
         self, state_count: int, letters: int, seed: int, final_density: float = 0.5
     ) -> None:
-        self._fill(state_count, letters, seed, final_density)
+        super().__init__(state_count, letters, seed, final_density)
+        for name, value in (("state_count", state_count), ("letters", letters), ("seed", seed)):
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.state_count < 1:
             raise ValueError("state_count must be at least 1")
         if not 1 <= self.letters <= len(_LETTER_NAMES):
@@ -224,10 +227,10 @@ def reversal_quotient_complexity(dfa: Dfa) -> int:
 
 
 class BasisCheck(_Frozen):
-    __slots__ = ("basis", "pair_route", "oracle_route")
+    """A basis, ``atom_complexity``'s quotient-key walk on it (``pair_route``) and
+    the monoid oracle's count (``oracle_route``), both 0 for a non-atom."""
 
-    def __init__(self, basis: frozenset[int], pair_route: int, oracle_route: int) -> None:
-        self._fill(basis, pair_route, oracle_route)
+    __slots__ = ("basis", "pair_route", "oracle_route")
 
     @property
     def match(self) -> bool:
@@ -235,17 +238,11 @@ class BasisCheck(_Frozen):
 
 
 class CrossCheckReport(_Frozen):
-    """Agreement report between the pair-automaton route and the oracles."""
+    """Agreement of the quotient-key routes with the oracles, one check per subset."""
 
     __slots__ = (
         "description", "basis_checks", "routes_agree", "atom_count", "reversal_complexity"
     )
-
-    def __init__(
-        self, description: str, basis_checks: tuple[BasisCheck, ...], routes_agree: bool,
-        atom_count: int, reversal_complexity: int,
-    ) -> None:
-        self._fill(description, basis_checks, routes_agree, atom_count, reversal_complexity)
 
     @property
     def passed(self) -> bool:
@@ -280,9 +277,9 @@ def cross_check(dfa: Dfa, description: str = "") -> CrossCheckReport:
     The input is minimized first.  Compares three independent basis
     enumerations on every subset of the state set: the column closure, the
     raw pair automata (``_emptiness_bases``) and the monoid columns.
-    ``is_atom``, which reads the columns, gates the two complexity routes,
-    and each atom's complexity from the one pass of ``enumerate_atoms`` must
-    equal its pair route.  The atom count is the number of columns.
+    ``is_atom``, which reads the columns, gates the two complexity routes, and
+    each atom's complexity from the one pass of ``enumerate_atoms`` must equal
+    its ``atom_complexity`` walk.  The atom count is the number of columns.
     """
     minimal = minimize(dfa)
     monoid = _MonoidDfa(minimal)  # refuses more than ORACLE_STATE_LIMIT states
@@ -318,15 +315,6 @@ class SweepReport(_Frozen):
         "kind", "n", "samples", "seed", "checked",
         "max_observed", "violations", "witness_attains", "skipped",
     )
-
-    def __init__(
-        self, kind: WitnessClass, n: int, samples: int, seed: int, checked: int,
-        max_observed: tuple[tuple[int, int], ...], violations: tuple[str, ...],
-        witness_attains: bool, skipped: tuple[str, ...],
-    ) -> None:
-        self._fill(
-            kind, n, samples, seed, checked, max_observed, violations, witness_attains, skipped
-        )
 
     @property
     def passed(self) -> bool:

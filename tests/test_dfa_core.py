@@ -57,6 +57,17 @@ def test_dfa_validation():
         Dfa(2, ("a",), {"a": t}, 1, frozenset({5}))
     with pytest.raises(InvalidDfaError):
         Dfa(2, ("a b",), {"a b": t}, 1, frozenset())
+    # Fields of the wrong type are refused up front, not by a later operation.
+    for args in [
+        (2, ("a",), {"a": t}, 1.0, {2}),
+        (2, ("a",), {"a": t}, "1", {2}),
+        (2, ("a",), {"a": t}, 1, {2.0}),
+        (2, ("a",), {"a": (2, 1)}, 1, {2}),
+        (2.0, ("a",), {"a": t}, 1, {2}),
+        (2, (1,), {1: t}, 1, {2}),
+    ]:
+        with pytest.raises(InvalidDfaError):
+            Dfa(*args)
 
 
 def test_equal_dfas_hash_equal():
@@ -205,14 +216,14 @@ def test_semigroup_of_left_witness():
 
 
 # Syntactic complexity (the size of the transition semigroup) of each ideal
-# class's witness, cross-checked against the brute closure up to n = 5.
-# Two-sided n = 3 is left out: its reduced three-letter witness generates 5
-# elements, against the formula's 6.
+# class's witness up to n = 7, cross-checked against the brute closure up to
+# n = 5.  Two-sided n = 3 is left out: its reduced three-letter witness
+# generates 5 elements, against the formula's 6.
 SEMIGROUP_SIZES = {
-    WitnessClass.RIGHT_IDEAL: (range(3, 7), lambda n: n ** (n - 1)),
-    WitnessClass.LEFT_IDEAL: (range(3, 7), lambda n: n ** (n - 1) + n - 1),
+    WitnessClass.RIGHT_IDEAL: (range(3, 8), lambda n: n ** (n - 1)),
+    WitnessClass.LEFT_IDEAL: (range(3, 8), lambda n: n ** (n - 1) + n - 1),
     WitnessClass.TWO_SIDED_IDEAL: (
-        range(4, 7), lambda n: n ** (n - 2) + (n - 2) * 2 ** (n - 2) + 1
+        range(4, 8), lambda n: n ** (n - 2) + (n - 2) * 2 ** (n - 2) + 1
     ),
 }
 

@@ -53,6 +53,12 @@ def test_random_spec_validation():
         RandomSpec(3, 0, seed=1)
     with pytest.raises(ValueError):
         RandomSpec(3, 1, seed=1, final_density=1.0)
+    with pytest.raises(ValueError):
+        RandomSpec(2.5, 3, seed=1)
+    with pytest.raises(ValueError):
+        RandomSpec(3, 2.0, seed=1)
+    with pytest.raises(ValueError):
+        RandomSpec(3, 2, seed=None)  # random.Random(None) would seed from the OS
 
 
 def test_oracle_known_values():

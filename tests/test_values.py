@@ -109,6 +109,22 @@ def test_fields_cannot_be_assigned_or_deleted(cls, fields):
 
 
 @pytest.mark.parametrize("cls, fields", CASES, ids=IDS)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda cls, fields: cls(**dict(list(fields.items())[1:])),
+        lambda cls, fields: cls(*fields.values(), 0),
+        lambda cls, fields: cls(**fields, unknown=0),
+        lambda cls, fields: cls(next(iter(fields.values())), **fields),
+    ],
+    ids=["missing", "extra", "unknown", "repeated"],
+)
+def test_misfit_fields_raise_type_error(cls, fields, build):
+    with pytest.raises(TypeError):
+        build(cls, fields)
+
+
+@pytest.mark.parametrize("cls, fields", CASES, ids=IDS)
 def test_fields_read_back(cls, fields):
     value = cls(**fields)
     for name, expected in fields.items():
