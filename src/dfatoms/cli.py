@@ -17,10 +17,6 @@ import sys
 # one called.
 from . import atoms, bounds, dfa, dfaformat, harness, ideals, witnesses
 from .errors import DfatomsError
-from .witnesses import WitnessClass
-
-_CLASS_NAMES = [kind.value for kind in WitnessClass]
-_KIND_NAMES = [kind.value for kind in WitnessClass if kind is not WitnessClass.REGULAR]
 
 
 def _load_dfa(path: str) -> dfa.Dfa:
@@ -51,7 +47,7 @@ def _format_basis(basis: frozenset[int]) -> str:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    automaton = witnesses.witness(WitnessClass(args.cls), args.n)
+    automaton = witnesses.witness(witnesses.WitnessClass(args.cls), args.n)
     _write(dfaformat.render_dfa(automaton), args.out)
     return 0
 
@@ -81,7 +77,7 @@ def _cmd_atoms(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    kind = WitnessClass(args.cls)
+    kind = witnesses.WitnessClass(args.cls)
     count = bounds.max_atom_count(kind, args.n)
     values = [bounds.atom_complexity_bound(kind, args.n, s) for s in range(args.n + 1)]
     print(f"class\t{kind.value}")
@@ -101,12 +97,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
     n_max = args.max_n
     if args.compare:
         kinds = [
-            WitnessClass.TWO_SIDED_IDEAL,
-            WitnessClass.LEFT_IDEAL,
-            WitnessClass.REGULAR,
+            witnesses.WitnessClass.TWO_SIDED_IDEAL,
+            witnesses.WitnessClass.LEFT_IDEAL,
+            witnesses.WitnessClass.REGULAR,
         ]
     elif args.cls is not None:
-        kinds = [WitnessClass(args.cls)]
+        kinds = [witnesses.WitnessClass(args.cls)]
     else:
         raise DfatomsError("table requires --class or --compare")
     columns = [bounds.build_table(kind, n_max) for kind in kinds]
@@ -145,7 +141,7 @@ def _cmd_check_ideal(args: argparse.Namespace) -> int:
 
 
 def _cmd_idealize(args: argparse.Namespace) -> int:
-    closed = ideals.idealize(_load_dfa(args.dfa), WitnessClass(args.kind))
+    closed = ideals.idealize(_load_dfa(args.dfa), witnesses.WitnessClass(args.kind))
     _write(dfaformat.render_dfa(closed), args.out)
     return 0
 
@@ -192,7 +188,17 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _class_names(*, ideals_only: bool = False) -> list[str]:
+    """The language classes' names in enum order, for ``--class`` and ``--kind``."""
+    return [
+        kind.value for kind in witnesses.WitnessClass
+        if not (ideals_only and kind is witnesses.WitnessClass.REGULAR)
+    ]
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand.  Each is listed, but only the one named
+    ``command`` gets its arguments, or every one when ``command`` is None."""
     parser = argparse.ArgumentParser(
         prog="dfatoms",
         description="Atoms of regular languages: witnesses, bounds, checks.",
@@ -200,57 +206,72 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("witness", help="emit a witness DFA")
-    p.add_argument("--class", dest="cls", required=True, choices=_CLASS_NAMES)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_witness)
+    if command in (None, "witness"):
+        p.add_argument("--class", dest="cls", required=True, choices=_class_names())
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--out")
+        p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("atoms", help="atom report for a DFA file")
-    p.add_argument("--dfa", required=True)
-    p.add_argument("--basis", help="comma-separated ids, '{}' for empty, '-' for all")
-    p.add_argument("--report", choices=["tsv", "text"], default="text")
-    p.set_defaults(func=_cmd_atoms)
+    if command in (None, "atoms"):
+        p.add_argument("--dfa", required=True)
+        p.add_argument("--basis", help="comma-separated ids, '{}' for empty, '-' for all")
+        p.add_argument("--report", choices=["tsv", "text"], default="text")
+        p.set_defaults(func=_cmd_atoms)
 
     p = sub.add_parser("bounds", help="per-size complexity bounds for one class")
-    p.add_argument("--class", dest="cls", required=True, choices=_CLASS_NAMES)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_bounds)
+    if command in (None, "bounds"):
+        p.add_argument("--class", dest="cls", required=True, choices=_class_names())
+        p.add_argument("--n", type=int, required=True)
+        p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("table", help="bound tables as TSV")
-    p.add_argument("--class", dest="cls", choices=_CLASS_NAMES)
-    p.add_argument("--compare", action="store_true",
-                   help="three-way two-sided/left/regular table")
-    p.add_argument("--max-n", dest="max_n", type=int, required=True)
-    p.set_defaults(func=_cmd_table)
+    if command in (None, "table"):
+        p.add_argument("--class", dest="cls", choices=_class_names())
+        p.add_argument("--compare", action="store_true",
+                       help="three-way two-sided/left/regular table")
+        p.add_argument("--max-n", dest="max_n", type=int, required=True)
+        p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("check-ideal", help="test ideal membership of a DFA file")
-    p.add_argument("--dfa", required=True)
-    p.set_defaults(func=_cmd_check_ideal)
+    if command in (None, "check-ideal"):
+        p.add_argument("--dfa", required=True)
+        p.set_defaults(func=_cmd_check_ideal)
 
     p = sub.add_parser("idealize", help="close a DFA's language into an ideal")
-    p.add_argument("--dfa", required=True)
-    p.add_argument("--kind", required=True, choices=_KIND_NAMES)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_idealize)
+    if command in (None, "idealize"):
+        p.add_argument("--dfa", required=True)
+        p.add_argument("--kind", required=True, choices=_class_names(ideals_only=True))
+        p.add_argument("--out")
+        p.set_defaults(func=_cmd_idealize)
 
     p = sub.add_parser("crosscheck", help="randomized oracle agreement run")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--letters", type=int, required=True)
-    p.add_argument("--samples", type=_count, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_crosscheck)
+    if command in (None, "crosscheck"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--letters", type=int, required=True)
+        p.add_argument("--samples", type=_count, required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.set_defaults(func=_cmd_crosscheck)
 
     p = sub.add_parser("dot", help="Graphviz export of a DFA or one of its atoms")
-    p.add_argument("--dfa", required=True)
-    p.add_argument("--atom", help="basis of the atom DFA to draw")
-    p.set_defaults(func=_cmd_dot)
+    if command in (None, "dot"):
+        p.add_argument("--dfa", required=True)
+        p.add_argument("--atom", help="basis of the atom DFA to draw")
+        p.set_defaults(func=_cmd_dot)
 
     return parser
 
 
+def _named_subcommand(argv: list[str]) -> str:
+    """The subcommand ``argv`` names, or "" for none: its first argument that
+    is not an option, since the parser takes no option before it but -h."""
+    return next((arg for arg in argv if not arg.startswith("-")), "")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(_named_subcommand(argv)).parse_args(argv)
     try:
         return args.func(args)
     except (DfatomsError, ValueError, OSError) as error:

@@ -55,10 +55,15 @@ def _basis_members(n: int, basis: Iterable[int]) -> frozenset[int]:
     return members
 
 
+def _id_order(q) -> tuple:
+    """Sort key for ids of any type: ints first, by value, then the rest by repr."""
+    return (0, q, "") if isinstance(q, int) else (1, 0, repr(q))
+
+
 def _bad_ids(n: int, ids: Iterable) -> list:
     """The members of ``ids`` that are not int state ids in 1..n, ints first."""
     bad = [q for q in ids if not (isinstance(q, int) and 1 <= q <= n)]
-    bad.sort(key=lambda q: (0, q, "") if isinstance(q, int) else (1, 0, repr(q)))
+    bad.sort(key=_id_order)
     return bad
 
 
@@ -192,7 +197,13 @@ class Dfa(_Frozen):
         delta: Mapping[str, Transformation], initial: int, finals: Iterable[int],
     ) -> None:
         delta = MappingProxyType(dict(delta))
-        super().__init__(state_count, tuple(alphabet), delta, initial, frozenset(finals))
+        try:
+            finals = frozenset(finals)
+        except TypeError:
+            raise InvalidDfaError(
+                f"final states must be an iterable of state ids, got {finals!r}"
+            ) from None
+        super().__init__(state_count, tuple(alphabet), delta, initial, finals)
         n = self.state_count
         if not isinstance(n, int) or n < 1:
             raise InvalidDfaError(f"state count must be a positive int, got {n!r}")
@@ -207,7 +218,7 @@ class Dfa(_Frozen):
             raise InvalidDfaError("alphabet letters must be distinct")
         if set(self.delta) != set(self.alphabet):
             missing = sorted(set(self.alphabet) - set(self.delta))
-            extra = sorted(set(self.delta) - set(self.alphabet))
+            extra = sorted(set(self.delta) - set(self.alphabet), key=_id_order)
             raise InvalidDfaError(
                 f"delta letters do not match alphabet (missing {missing}, extra {extra})"
             )

@@ -26,8 +26,10 @@ import functools
 import random
 from collections.abc import Iterable
 
+# Only ``bound_sweep`` calls these three, so they are reached by module: the
+# package registers them lazily, and a cross-check runs none of them.
+from . import bounds, ideals, witnesses
 from .atoms import _explore, atom_complexity, enumerate_atoms, is_atom
-from .bounds import bound_for_basis
 from .dfa import (
     SUBSET_OP_LIMIT,
     Dfa,
@@ -42,8 +44,6 @@ from .dfa import (
     quotient_complexity,
 )
 from .errors import LimitExceededError
-from .ideals import accepting_sink, idealize
-from .witnesses import WitnessClass, witness
 
 ORACLE_STATE_LIMIT = 6
 _LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
@@ -72,8 +72,15 @@ class RandomSpec(_Frozen):
             raise ValueError("state_count must be at least 1")
         if not 1 <= self.letters <= len(_LETTER_NAMES):
             raise ValueError(f"letters must be in 1..{len(_LETTER_NAMES)}")
-        if not 0 < self.final_density < 1:
-            raise ValueError("final_density must be strictly between 0 and 1")
+        try:
+            in_range = 0 < self.final_density < 1
+        except TypeError:  # a str or None, which random() cannot be compared with
+            in_range = False
+        if not in_range:
+            raise ValueError(
+                f"final_density must be a real number strictly between 0 and 1, "
+                f"got {self.final_density!r}"
+            )
 
 
 def random_dfa(spec: RandomSpec) -> Dfa:
@@ -321,13 +328,15 @@ class SweepReport(_Frozen):
         return not self.violations
 
 
-def _sweep_witness(kind: WitnessClass, n: int) -> Dfa:
+def _sweep_witness(kind: witnesses.WitnessClass, n: int) -> Dfa:
     if n == 1:
         return Dfa(1, ("a",), {"a": Transformation.identity(1)}, 1, frozenset({1}))
-    return witness(kind, n)
+    return witnesses.witness(kind, n)
 
 
-def bound_sweep(kind: WitnessClass, n: int, samples: int, seed: int) -> SweepReport:
+def bound_sweep(
+    kind: witnesses.WitnessClass, n: int, samples: int, seed: int
+) -> SweepReport:
     """Generate random DFAs, close them into the class, and verify that every
     atom complexity respects the class bound.
 
@@ -336,7 +345,7 @@ def bound_sweep(kind: WitnessClass, n: int, samples: int, seed: int) -> SweepRep
     are skipped and reported.  Sweeps support n <= 10 for the ideal classes
     and n <= 7 for regular languages.
     """
-    limit = 7 if kind is WitnessClass.REGULAR else 10
+    limit = 7 if kind is witnesses.WitnessClass.REGULAR else 10
     if n > limit:
         raise ValueError(f"{kind.value} bound sweeps support n <= {limit}")
     instances: list[tuple[str, Dfa]] = [("witness", _sweep_witness(kind, n))]
@@ -350,7 +359,7 @@ def bound_sweep(kind: WitnessClass, n: int, samples: int, seed: int) -> SweepRep
     witness_attains = True
     checked = 0
     for label, instance in instances:
-        minimal = minimize(idealize(instance, kind))
+        minimal = minimize(ideals.idealize(instance, kind))
         m = minimal.state_count
         if not minimal.finals:
             skipped.append(f"{label}: empty language")
@@ -358,11 +367,11 @@ def bound_sweep(kind: WitnessClass, n: int, samples: int, seed: int) -> SweepRep
         if m > SUBSET_OP_LIMIT:
             skipped.append(f"{label}: minimized complexity {m}")
             continue
-        sink = accepting_sink(minimal)
+        sink = ideals.accepting_sink(minimal)
         checked += 1
         for info in enumerate_atoms(minimal).atoms:
             size = len(info.basis)
-            bound = bound_for_basis(kind, m, info.basis, sink=sink)
+            bound = bounds.bound_for_basis(kind, m, info.basis, sink=sink)
             if bound is None or info.complexity > bound:
                 violations.append(
                     f"{label}: basis {sorted(info.basis)} complexity "

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .dfa import Dfa, Transformation
+from . import dfa
 
 
 class WitnessClass(Enum):
@@ -31,13 +31,13 @@ _FIXED = {
 }
 
 
-def _dfa(n: int, **letters: Transformation) -> Dfa:
+def _dfa(n: int, **letters: dfa.Transformation) -> dfa.Dfa:
     """The witness on states 1..n with initial state 1, final state n, and
     ``letters`` in the order given."""
-    return Dfa(n, tuple(letters), letters, 1, frozenset({n}))
+    return dfa.Dfa(n, tuple(letters), letters, 1, frozenset({n}))
 
 
-def regular_witness(n: int) -> Dfa:
+def regular_witness(n: int) -> dfa.Dfa:
     """Most complex regular language on n states: a=(1..n), b=(1,2), c=(n->1).
 
     For n=2 the letters a and b coincide, so the alphabet is {a, c}.
@@ -45,16 +45,16 @@ def regular_witness(n: int) -> Dfa:
     if n < 2:
         raise ValueError("regular witness requires n >= 2")
     letters = {
-        "a": Transformation.cycle(n, range(1, n + 1)),
-        "b": Transformation.cycle(n, (1, 2)),
-        "c": Transformation.unitary(n, n, 1),
+        "a": dfa.Transformation.cycle(n, range(1, n + 1)),
+        "b": dfa.Transformation.cycle(n, (1, 2)),
+        "c": dfa.Transformation.unitary(n, n, 1),
     }
     if n == 2:
         del letters["b"]
     return _dfa(n, **letters)
 
 
-def right_ideal_witness(n: int) -> Dfa:
+def right_ideal_witness(n: int) -> dfa.Dfa:
     """Most complex right ideal: a=(1..n-1), b=(2..n-1), c=(n-1->1), d=(n-1->n).
 
     Small cases: n=3 drops b; n=2 recognizes aa*; n=1 recognizes a*.
@@ -62,21 +62,21 @@ def right_ideal_witness(n: int) -> Dfa:
     if n < 1:
         raise ValueError("right ideal witness requires n >= 1")
     if n == 1:
-        return _dfa(1, a=Transformation.identity(1))
+        return _dfa(1, a=dfa.Transformation.identity(1))
     if n == 2:
-        return _dfa(2, a=Transformation((2, 2)))
+        return _dfa(2, a=dfa.Transformation((2, 2)))
     letters = {
-        "a": Transformation.cycle(n, range(1, n)),
-        "b": Transformation.cycle(n, range(2, n)),
-        "c": Transformation.unitary(n, n - 1, 1),
-        "d": Transformation.unitary(n, n - 1, n),
+        "a": dfa.Transformation.cycle(n, range(1, n)),
+        "b": dfa.Transformation.cycle(n, range(2, n)),
+        "c": dfa.Transformation.unitary(n, n - 1, 1),
+        "d": dfa.Transformation.unitary(n, n - 1, n),
     }
     if n == 3:
         del letters["b"]
     return _dfa(n, **letters)
 
 
-def left_ideal_witness(n: int) -> Dfa:
+def left_ideal_witness(n: int) -> dfa.Dfa:
     """Most complex left ideal: a=(2..n), b=(2,3), c=(n->2), d=(n->1), e=(Q->2).
 
     Small cases: n=3 drops b; n=2 is the three-letter DFA with a the identity,
@@ -87,23 +87,23 @@ def left_ideal_witness(n: int) -> Dfa:
     if n == 2:
         return _dfa(
             2,
-            a=Transformation.identity(2),
-            b=Transformation.constant(2, 2),
-            c=Transformation.constant(2, 1),
+            a=dfa.Transformation.identity(2),
+            b=dfa.Transformation.constant(2, 2),
+            c=dfa.Transformation.constant(2, 1),
         )
     letters = {
-        "a": Transformation.cycle(n, range(2, n + 1)),
-        "b": Transformation.cycle(n, (2, 3)),
-        "c": Transformation.unitary(n, n, 2),
-        "d": Transformation.unitary(n, n, 1),
-        "e": Transformation.constant(n, 2),
+        "a": dfa.Transformation.cycle(n, range(2, n + 1)),
+        "b": dfa.Transformation.cycle(n, (2, 3)),
+        "c": dfa.Transformation.unitary(n, n, 2),
+        "d": dfa.Transformation.unitary(n, n, 1),
+        "e": dfa.Transformation.constant(n, 2),
     }
     if n == 3:
         del letters["b"]
     return _dfa(n, **letters)
 
 
-def two_sided_ideal_witness(n: int) -> Dfa:
+def two_sided_ideal_witness(n: int) -> dfa.Dfa:
     """Most complex two-sided ideal: a=(2..n-1), b=(2,3), c=(n-1->2),
     d=(n-1->1), e=(Q_{n-1}->2), f=(2->n).
 
@@ -117,25 +117,25 @@ def two_sided_ideal_witness(n: int) -> Dfa:
     if n == 2:
         return _dfa(
             2,
-            a=Transformation.identity(2),
-            b=Transformation.constant(2, 2),
-            c=Transformation.identity(2),
+            a=dfa.Transformation.identity(2),
+            b=dfa.Transformation.constant(2, 2),
+            c=dfa.Transformation.identity(2),
         )
     if n == 3:
         return _dfa(
             3,
-            a=Transformation.unitary(3, 2, 1),
-            b=Transformation((2, 2, 3)),
-            c=Transformation.unitary(3, 2, 3),
+            a=dfa.Transformation.unitary(3, 2, 1),
+            b=dfa.Transformation((2, 2, 3)),
+            c=dfa.Transformation.unitary(3, 2, 3),
         )
     return _dfa(
         n,
-        a=Transformation.cycle(n, range(2, n)),
-        b=Transformation.cycle(n, (2, 3)),
-        c=Transformation.unitary(n, n - 1, 2),
-        d=Transformation.unitary(n, n - 1, 1),
-        e=Transformation(tuple(2 if q < n else q for q in range(1, n + 1))),
-        f=Transformation.unitary(n, 2, n),
+        a=dfa.Transformation.cycle(n, range(2, n)),
+        b=dfa.Transformation.cycle(n, (2, 3)),
+        c=dfa.Transformation.unitary(n, n - 1, 2),
+        d=dfa.Transformation.unitary(n, n - 1, 1),
+        e=dfa.Transformation(tuple(2 if q < n else q for q in range(1, n + 1))),
+        f=dfa.Transformation.unitary(n, 2, n),
     )
 
 
@@ -147,6 +147,6 @@ _BUILDERS = {
 }
 
 
-def witness(kind: WitnessClass, n: int) -> Dfa:
+def witness(kind: WitnessClass, n: int) -> dfa.Dfa:
     """The witness DFA of the given class and complexity."""
     return _BUILDERS[kind](n)

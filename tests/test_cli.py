@@ -1,7 +1,7 @@
 import pytest
 
 from dfatoms import parse_dfa, render_dfa, two_sided_ideal_witness, witness, WitnessClass
-from dfatoms.cli import main
+from dfatoms.cli import _named_subcommand, build_parser, main
 
 
 def run(capsys, *argv):
@@ -197,3 +197,46 @@ def test_bounds_with_bad_n_writes_nothing_to_stdout(capsys, n):
     assert code == 1
     assert out == ""
     assert err == "error: complexity n must be at least 1\n"
+
+
+SUBCOMMANDS = [
+    "witness", "atoms", "bounds", "table", "check-ideal", "idealize", "crosscheck", "dot",
+]
+CROSSCHECK = ["crosscheck", "--n", "3", "--letters", "2", "--seed", "1", "--samples"]
+
+
+def parse_outcome(capsys, parser, argv):
+    """What ``parser`` makes of ``argv``: exit code, stdout, stderr, namespace."""
+    try:
+        namespace, code = parser.parse_args(argv), 0
+    except SystemExit as exit:
+        namespace, code = None, exit.code
+    out, err = capsys.readouterr()
+    return code, out, err, namespace
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"], [], ["nope"], ["-h", "atoms"], ["--bogus", "atoms", "--dfa", "x"],
+        *([name, "--help"] for name in SUBCOMMANDS),
+        ["witness", "--class", "nonsense", "--n", "3"],
+        ["atoms"],
+        ["dot", "--dfa", "x", "extra"],
+        [*CROSSCHECK, "-1"],
+        ["witness", "--class", "left", "--n", "3"],
+        ["atoms", "--dfa", "x", "--basis", "1,2", "--report", "tsv"],
+        ["bounds", "--class", "two-sided", "--n", "4"],
+        ["table", "--compare", "--max-n", "5"],
+        ["check-ideal", "--dfa", "x"],
+        ["idealize", "--dfa", "x", "--kind", "right", "--out", "y"],
+        [*CROSSCHECK, "2"],
+        ["dot", "--dfa", "x", "--atom", "{}"],
+    ],
+)
+def test_parser_of_the_named_subcommand_says_what_the_full_parser_says(
+    capsys, monkeypatch, argv
+):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = parse_outcome(capsys, build_parser(), argv)
+    assert parse_outcome(capsys, build_parser(_named_subcommand(argv)), argv) == full

@@ -55,6 +55,10 @@ def test_dfa_validation():
         Dfa(2, ("a",), {"a": t}, 3, frozenset())
     with pytest.raises(InvalidDfaError):
         Dfa(2, ("a",), {"a": t}, 1, frozenset({5}))
+    with pytest.raises(InvalidDfaError, match=r"extra \[1, 'b'\]"):
+        Dfa(2, ("a",), {"a": t, 1: t, "b": t}, 1, {2})
+    with pytest.raises(InvalidDfaError, match="final states"):
+        Dfa(2, ("a",), {"a": t}, 1, 2)
     with pytest.raises(InvalidDfaError):
         Dfa(2, ("a b",), {"a b": t}, 1, frozenset())
     # Fields of the wrong type are refused up front, not by a later operation.

@@ -53,6 +53,9 @@ def test_random_spec_validation():
         RandomSpec(3, 0, seed=1)
     with pytest.raises(ValueError):
         RandomSpec(3, 1, seed=1, final_density=1.0)
+    for density in ("x", None):
+        with pytest.raises(ValueError, match="final_density"):
+            RandomSpec(3, 2, 1, density)
     with pytest.raises(ValueError):
         RandomSpec(2.5, 3, seed=1)
     with pytest.raises(ValueError):

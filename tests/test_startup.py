@@ -77,43 +77,60 @@ def test_bare_import_registers_every_submodule_and_runs_none():
 
 
 # Runs ``cli.main`` on its command-line arguments in a fresh process and
-# prints which submodules have executed.
+# prints its exit code and which submodules have executed.
 CLI_PROBE = """
 import contextlib, io, json, sys, types
 from dfatoms import cli
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
-        cli.main(sys.argv[1:])
-    except SystemExit:
-        pass
-print(json.dumps(sorted(
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exit:
+        code = exit.code
+print(json.dumps([code, sorted(
     name.split(".")[1] for name, module in sys.modules.items()
     if name.startswith("dfatoms.") and type(module) is types.ModuleType
-)))
+)]))
 """
+EVERY_SUBMODULE = set(SUBMODULES)
 
 
 @pytest.mark.parametrize(
-    "argv, called, skipped",
+    "argv, code, called, skipped",
     [
-        (["--help"], {"errors", "witnesses"},
-         {"atoms", "harness", "bounds", "dfaformat", "ideals"}),
-        (["check-ideal", "--dfa", "{dfa}"], {"dfaformat", "ideals"},
+        (["--help"], 0, {"errors"}, EVERY_SUBMODULE - {"errors"}),
+        (["atoms"], 2, {"errors"}, EVERY_SUBMODULE - {"errors"}),
+        (["witness", "--class", "left", "--n", "3"], 0, {"witnesses", "dfa", "dfaformat"},
+         {"atoms", "harness", "bounds", "ideals"}),
+        (["atoms", "--dfa", "{dfa}"], 0, {"dfaformat", "dfa", "atoms"},
+         {"harness", "bounds", "ideals", "witnesses"}),
+        (["bounds", "--class", "left", "--n", "4"], 0, {"bounds", "witnesses"},
+         {"atoms", "harness", "ideals", "dfaformat"}),
+        (["table", "--compare", "--max-n", "4"], 0, {"bounds", "witnesses"},
+         {"atoms", "harness", "ideals", "dfaformat"}),
+        (["check-ideal", "--dfa", "{dfa}"], 0, {"dfaformat", "ideals"},
          {"atoms", "harness", "bounds"}),
-        (["idealize", "--dfa", "{dfa}", "--kind", "left"], {"dfaformat", "ideals"},
+        (["idealize", "--dfa", "{dfa}", "--kind", "left"], 0, {"dfaformat", "ideals"},
          {"atoms", "harness", "bounds"}),
-        (["atoms", "--dfa", "{dfa}"], {"dfaformat", "dfa", "atoms"},
-         {"harness", "bounds", "ideals"}),
+        (["crosscheck", "--n", "3", "--letters", "2", "--samples", "2", "--seed", "1"], 0,
+         {"harness", "atoms", "dfa"}, {"bounds", "ideals", "witnesses", "dfaformat"}),
+        (["dot", "--dfa", "{dfa}"], 0, {"dfaformat", "dfa"},
+         {"atoms", "harness", "bounds", "ideals", "witnesses"}),
     ],
-    ids=["help", "check-ideal", "idealize", "atoms"],
+    ids=[
+        "help", "usage-error", "witness", "atoms", "bounds", "table", "check-ideal",
+        "idealize", "crosscheck", "dot",
+    ],
 )
-def test_cli_executes_only_the_modules_its_subcommand_calls(tmp_path, argv, called, skipped):
+def test_cli_executes_only_the_modules_its_subcommand_calls(
+    tmp_path, argv, code, called, skipped
+):
     path = tmp_path / "l4.dfa"
     path.write_text(render_dfa(witness(WitnessClass.LEFT_IDEAL, 4)))
     argv = [arg.format(dfa=path) for arg in argv]
-    executed = set(json.loads(run_python("-c", CLI_PROBE, *argv).stdout))
-    assert called <= executed
-    assert not skipped & executed
+    exit_code, executed = json.loads(run_python("-c", CLI_PROBE, *argv).stdout)
+    assert exit_code == code
+    assert called <= set(executed)
+    assert not skipped & set(executed)
 
 
 def test_cli_module_run_emits_no_warning():
