@@ -19,11 +19,11 @@ state to be reachable.
 
 Both walks, over pair states and over quotient keys, pack a pair (X, Y) of
 state masks into one int ``X | Y << n``, the sink or the empty quotient
-being None.  Per letter, one chain of chunk-table lookups (``_pair_tables``)
+being None.  Per letter, one map built once per DFA (``dfa._image_maps``)
 maps both halves at once, and the images collide exactly when
-``image & full & image >> n`` is non-zero.  One more chain over the same
-packed pair gives the columns a pair is incompatible with, so a key is found
-with the same subset-image primitive.  One step, ``_QuotientEngine.step``,
+``image & full & image >> n`` is non-zero.  A map from the same factory
+(``dfa._mask_map``) gives the columns a pair is incompatible with, so a key
+is found with the same primitive.  One step, ``_QuotientEngine.step``,
 gives a key's successor keys, canonicalizing only the images that need it.
 
 A single atom (``atom_complexity``) walks only the keys it reaches.  Full
@@ -43,12 +43,12 @@ from .dfa import (
     SUBSET_OP_LIMIT,
     Dfa,
     _Frozen,
-    _apply_tables,
     _array_dfa,
     _basis_members,
-    _chunk_tables,
     _column_masks,
     _discover,
+    _image_maps,
+    _mask_map,
     _mask_of,
     _set_of,
     minimize,
@@ -88,23 +88,6 @@ def _basis_mask(dfa: Dfa, basis: Iterable[int]) -> int:
     return _mask_of(_basis_members(n, basis))
 
 
-def _pair_tables(dfa: Dfa) -> list[tuple[tuple[int, ...], ...]]:
-    """Per letter, the chunk tables mapping a packed pair ``X | Y << n`` to
-    the packed pair of its images.
-
-    Bit q-1 of the 2n bits maps to the image of state q and bit n+q-1 to that
-    image shifted by n, so one lookup chain maps both halves.  The halves are
-    packed back to back, not aligned on chunks: that is the quotient keys'
-    layout, and it needs no more chunks than the aligned one.
-    """
-    n = dfa.state_count
-    tables = []
-    for letter in dfa.alphabet:
-        bits = [1 << (q - 1) for q in dfa.delta[letter].image]
-        tables.append(_chunk_tables(bits + [b << n for b in bits]))
-    return tables
-
-
 def _explore(dfa: Dfa, basis_masks: Iterable[int]):
     """Breadth-first exploration of the pair automata of distinct bases at once.
 
@@ -117,14 +100,14 @@ def _explore(dfa: Dfa, basis_masks: Iterable[int]):
     n = dfa.state_count
     full = (1 << n) - 1
     fmask = _mask_of(dfa.finals)
-    letters = _pair_tables(dfa)
+    letters = _image_maps(dfa, 2)
 
     def step(pair, _):
         if pair is None:
             return [None] * len(letters)
         successors = []
-        for tables in letters:
-            image = _apply_tables(pair, tables)
+        for image_of in letters:
+            image = image_of(pair)
             successors.append(None if image & full & image >> n else image)
         return successors
 
@@ -194,16 +177,16 @@ class _QuotientEngine:
         self.outside = [self.every_column ^ bits for bits in self.inside]
         # 4-bit tables: entries are bitsets as wide as the column count, so
         # at regular n = 16 the engine keeps 4 MB with them, 12 MB with 8-bit.
-        self.conflicts = _chunk_tables(self.outside + self.inside, 4)
+        self.conflicts = _mask_map(self.outside + self.inside, 4)
         self.letters = tuple(
-            (tables, len(set(dfa.delta[letter].image)) == n)
-            for letter, tables in zip(dfa.alphabet, _pair_tables(dfa))
+            (image_of, len(set(dfa.delta[letter].image)) == n)
+            for letter, image_of in zip(dfa.alphabet, _image_maps(dfa, 2))
         )
         self.successors: dict[int | None, tuple[int | None, ...]] = {}
 
     def key(self, x: int, y: int) -> int | None:
         """Key of the quotient recognized at the disjoint pair state (x, y)."""
-        signature = self.every_column ^ _apply_tables(x | y << self.n, self.conflicts, 4)
+        signature = self.every_column ^ self.conflicts(x | y << self.n)
         if not signature:
             return None
         inside, outside = self.inside, self.outside
@@ -237,8 +220,8 @@ class _QuotientEngine:
             return (None,) * len(self.letters)
         n, full = self.n, self.full
         images = []
-        for tables, permutes in self.letters:
-            image = _apply_tables(node, tables)
+        for image_of, permutes in self.letters:
+            image = image_of(node)
             if not permutes and image not in index:
                 x, y = image & full, image >> n
                 image = None if x & y else self.key(x, y)

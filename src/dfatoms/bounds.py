@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .dfa import _Frozen
+from .dfa import _Frozen, _basis_members
 from .witnesses import _FIXED, WitnessClass
 
 TABLE_N_LIMIT = 12
@@ -78,11 +78,12 @@ def bound_for_basis(
     Right and two-sided ideals require the accepting sink in the basis; left
     and two-sided ideals require the initial state, state 1, absent unless
     the basis is the full state set.  ``sink`` defaults to state n.  Any
-    other basis gets ``atom_complexity_bound`` for its size.
+    other basis gets ``atom_complexity_bound`` for its size.  A basis id
+    that is not a state in 1..n raises ``InvalidBasisError``.
     """
-    basis = frozenset(basis)
+    _check(n, 0)
+    basis = _basis_members(n, basis)
     size = len(basis)
-    _check(n, size)
     has_sink, has_init = _FIXED[kind]
     if has_sink and (n if sink is None else sink) not in basis:
         return None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from types import MappingProxyType
 
 from .errors import (
@@ -182,6 +182,14 @@ def compose(first: Transformation, second: Transformation) -> Transformation:
     return Transformation(tuple(second.image[q - 1] for q in first.image))
 
 
+def _coerced(kind: type, value, what: str):
+    """``kind(value)``, or ``InvalidDfaError`` saying ``what`` when it fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InvalidDfaError(f"{what}, got {value!r}") from None
+
+
 class Dfa(_Frozen):
     """A complete DFA: one transformation per letter, an initial state, finals.
 
@@ -196,14 +204,10 @@ class Dfa(_Frozen):
         self, state_count: int, alphabet: Iterable[str],
         delta: Mapping[str, Transformation], initial: int, finals: Iterable[int],
     ) -> None:
-        delta = MappingProxyType(dict(delta))
-        try:
-            finals = frozenset(finals)
-        except TypeError:
-            raise InvalidDfaError(
-                f"final states must be an iterable of state ids, got {finals!r}"
-            ) from None
-        super().__init__(state_count, tuple(alphabet), delta, initial, finals)
+        alphabet = _coerced(tuple, alphabet, "alphabet must be an iterable of letters")
+        delta = MappingProxyType(_coerced(dict, delta, "delta must be a mapping of letters"))
+        finals = _coerced(frozenset, finals, "final states must be an iterable of state ids")
+        super().__init__(state_count, alphabet, delta, initial, finals)
         n = self.state_count
         if not isinstance(n, int) or n < 1:
             raise InvalidDfaError(f"state count must be a positive int, got {n!r}")
@@ -441,10 +445,10 @@ def transition_semigroup(dfa: Dfa, cap: int) -> frozenset[Transformation]:
     return frozenset(map(Transformation, elements))
 
 
-def _chunk_tables(bits: list[int], width: int = 8) -> tuple[tuple[int, ...], ...]:
-    """Lookup tables for the union of ``bits[i]`` over the members i+1 of a mask.
+def _mask_map(bits: list[int], width: int = 8) -> Callable[[int], int]:
+    """The map sending a mask to the union of ``bits[i]`` over its members i+1.
 
-    There is one table per ``width``-bit chunk of the mask, indexed by the
+    It looks the mask up in one table per ``width``-bit chunk, indexed by the
     chunk's value, so mapping a mask costs one lookup per ``width`` states
     and the tables hold about 2**width / width entries per state.
     """
@@ -455,27 +459,44 @@ def _chunk_tables(bits: list[int], width: int = 8) -> tuple[tuple[int, ...], ...
             low = value & -value
             table[value] = table[value ^ low] | bits[base + low.bit_length() - 1]
         tables.append(tuple(table))
-    return tuple(tables)
-
-
-def _apply_tables(mask: int, tables: tuple[tuple[int, ...], ...], width: int = 8) -> int:
-    result = 0
     chunk = (1 << width) - 1
-    for table in tables:
-        result |= table[mask & chunk]
-        mask >>= width
-    return result
+
+    def image(mask: int) -> int:
+        result = 0
+        for table in tables:
+            result |= table[mask & chunk]
+            mask >>= width
+        return result
+
+    return image
 
 
-def _preimage_tables(dfa: Dfa, width: int = 8) -> list[tuple[tuple[int, ...], ...]]:
-    """Per letter, the chunk tables mapping a mask to the states sent into it."""
-    tables = []
+def _image_maps(dfa: Dfa, copies: int = 1) -> list[Callable[[int], int]]:
+    """Per letter, the map sending ``copies`` masks packed back to back,
+    ``X | Y << n | ...``, to the packed masks of their images.
+
+    One lookup chain maps every copy, and a pair's images collide exactly
+    when ``image & full & image >> n`` is non-zero.  The copies are not
+    aligned on chunks: that is the quotient keys' layout, and it needs no
+    more chunks than the aligned one.
+    """
+    n = dfa.state_count
+    maps = []
+    for letter in dfa.alphabet:
+        bits = [1 << (q - 1) for q in dfa.delta[letter].image]
+        maps.append(_mask_map([b << c * n for c in range(copies) for b in bits]))
+    return maps
+
+
+def _preimage_maps(dfa: Dfa, width: int = 8) -> list[Callable[[int], int]]:
+    """Per letter, the map sending a mask to the states sent into it."""
+    maps = []
     for letter in dfa.alphabet:
         bits = [0] * dfa.state_count  # bits[j]: the states sent onto state j+1
         for q, r in enumerate(dfa.delta[letter].image):
             bits[r - 1] |= 1 << q
-        tables.append(_chunk_tables(bits, width))
-    return tables
+        maps.append(_mask_map(bits, width))
+    return maps
 
 
 def _column_masks(dfa: Dfa) -> set[int]:
@@ -487,15 +508,15 @@ def _column_masks(dfa: Dfa) -> set[int]:
         )
     # 8-bit tables: columns are mapped far more often than the tables are
     # built, and 4-bit ones made this 1.3-1.6x slower.
-    preimages = _preimage_tables(dfa)
+    preimages = _preimage_maps(dfa)
     start = _mask_of(dfa.finals)
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for col in frontier:
-            for tables in preimages:
-                pre = _apply_tables(col, tables)
+            for preimage in preimages:
+                pre = preimage(col)
                 if pre not in seen:
                     seen.add(pre)
                     nxt.append(pre)
@@ -531,12 +552,12 @@ def _containment_masks(dfa: Dfa) -> tuple[int, ...]:
     fmask = _mask_of(dfa.finals)
     # 4-bit tables: closures run to hundreds of states, and at 580 the peak
     # is 0.65 MB with them, 4.1 MB with 8-bit ones, for about the same speed.
-    letters = []  # per letter: (preimage tables, states sent onto each state)
-    for letter, tables in zip(dfa.alphabet, _preimage_tables(dfa, 4)):
+    letters = []  # per letter: (preimage map, states sent onto each state)
+    for letter, preimage in zip(dfa.alphabet, _preimage_maps(dfa, 4)):
         sources: list[list[int]] = [[] for _ in range(n)]
         for p, r in enumerate(dfa.delta[letter].image):
             sources[r - 1].append(p)
-        letters.append((tables, sources))
+        letters.append((preimage, sources))
 
     bad = [full ^ fmask if fmask >> p & 1 else 0 for p in range(n)]
     pending = list(bad)
@@ -544,10 +565,10 @@ def _containment_masks(dfa: Dfa) -> tuple[int, ...]:
     while work:
         r = work.pop()
         failed, pending[r] = pending[r], 0
-        for tables, sources in letters:
+        for preimage, sources in letters:
             if not sources[r]:
                 continue
-            image = _apply_tables(failed, tables, 4)
+            image = preimage(failed)
             for p in sources[r]:
                 new = image & ~bad[p]
                 if new:

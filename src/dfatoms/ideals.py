@@ -12,11 +12,10 @@ import functools
 from .dfa import (
     Dfa,
     Transformation,
-    _apply_tables,
     _array_dfa,
-    _chunk_tables,
     _containment_masks,
     _discover,
+    _image_maps,
     _mask_of,
     _set_of,
     minimize,
@@ -72,15 +71,9 @@ def _prefix_closure(dfa: Dfa, cap: int) -> Dfa:
     # Determinize the machine that may loop on the initial state before
     # running the original DFA; every subset reached contains the initial.
     init_bit = 1 << (dfa.initial - 1)
-    images = [
-        _chunk_tables([1 << (q - 1) for q in dfa.delta[letter].image])
-        for letter in dfa.alphabet
-    ]
+    images = _image_maps(dfa)
     subsets, rows = _discover(
-        [init_bit],
-        lambda s, _: [init_bit | _apply_tables(s, tables) for tables in images],
-        len(images),
-        cap,
+        [init_bit], lambda s, _: [init_bit | image(s) for image in images], len(images), cap
     )
     fmask = _mask_of(dfa.finals)
     return minimize(_array_dfa(dfa.alphabet, rows, [s & fmask for s in subsets]))

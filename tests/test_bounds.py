@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from dfatoms import (
+    InvalidBasisError,
     WitnessClass,
     atom_complexity_bound,
     bound_for_basis,
@@ -111,6 +112,15 @@ def test_bound_for_basis_special_cases():
     assert bound_for_basis(TS, 5, frozenset(range(1, 6))) == 5
     # explicit sink relabeling
     assert bound_for_basis(RIGHT, 4, {1, 2}, sink=2) == 16
+
+
+@pytest.mark.parametrize(
+    "kind, basis",
+    [(REG, {99}), (LEFT, {0}), (REG, [[1]]), (TS, {"4"}), (RIGHT, {1.0, 4})],
+)
+def test_bound_for_basis_refuses_ids_that_are_not_states(kind, basis):
+    with pytest.raises(InvalidBasisError):
+        bound_for_basis(kind, 4, basis)
 
 
 def test_build_table_rows_and_ratios():

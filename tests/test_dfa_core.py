@@ -27,7 +27,7 @@ from dfatoms import (
     WitnessClass,
     left_ideal_witness,
 )
-from dfatoms.dfa import _apply_tables, _chunk_tables, _containment_masks, _preimage_tables
+from dfatoms.dfa import _containment_masks, _image_maps, _mask_map, _preimage_maps
 from dfatoms.ideals import idealize, is_left_ideal
 from oracles import (
     brute_columns,
@@ -69,6 +69,9 @@ def test_dfa_validation():
         (2, ("a",), {"a": (2, 1)}, 1, {2}),
         (2.0, ("a",), {"a": t}, 1, {2}),
         (2, (1,), {1: t}, 1, {2}),
+        (2, 5, {"a": t}, 1, {2}),
+        (2, ("a",), 5, 1, {2}),
+        (2, ("a",), "ab", 1, {2}),
     ]:
         with pytest.raises(InvalidDfaError):
             Dfa(*args)
@@ -313,14 +316,14 @@ def test_chunk_tables_map_a_mask_to_the_union_of_its_members(width):
     rng = random.Random(width)
     for length in range(1, 22):
         bits = [rng.getrandbits(30) for _ in range(length)]
-        tables = _chunk_tables(bits, width)
+        image = _mask_map(bits, width)
         for _ in range(50):
             mask = rng.getrandbits(length)
             union = 0
             for i in range(length):
                 if mask >> i & 1:
                     union |= bits[i]
-            assert _apply_tables(mask, tables, width) == union
+            assert image(mask) == union
 
 
 @pytest.mark.parametrize("width", [4, 8])
@@ -328,12 +331,35 @@ def test_preimage_tables_map_a_mask_to_the_states_sent_into_it(width):
     rng = random.Random(100 + width)
     for seed in range(20):
         d = random_dfa(RandomSpec(rng.randint(1, 19), 1 + seed % 3, seed=seed))
-        for letter, tables in zip(d.alphabet, _preimage_tables(d, width)):
+        for letter, preimage in zip(d.alphabet, _preimage_maps(d, width)):
             image = d.delta[letter].image
             for _ in range(20):
                 mask = rng.getrandbits(d.state_count)
                 want = sum(1 << p for p, r in enumerate(image) if mask >> (r - 1) & 1)
-                assert _apply_tables(mask, tables, width) == want
+                assert preimage(mask) == want
+
+
+def test_image_maps_send_a_subset_to_its_image_under_the_letter():
+    rng = random.Random(7)
+    for seed in range(20):
+        d = random_dfa(RandomSpec(rng.randint(1, 19), 1 + seed % 3, seed=seed))
+        for letter, image in zip(d.alphabet, _image_maps(d)):
+            t = d.delta[letter]
+            for _ in range(20):
+                mask = rng.getrandbits(d.state_count)
+                images = {t(q) for q in range(1, d.state_count + 1) if mask >> (q - 1) & 1}
+                assert image(mask) == sum(1 << (r - 1) for r in images)
+
+
+def test_pair_image_maps_send_a_packed_pair_to_the_packed_images():
+    rng = random.Random(8)
+    for seed in range(20):
+        n = rng.randint(1, 19)
+        d = random_dfa(RandomSpec(n, 1 + seed % 3, seed=seed))
+        for image, pair_image in zip(_image_maps(d), _image_maps(d, 2)):
+            for _ in range(20):
+                x, y = rng.getrandbits(n), rng.getrandbits(n)
+                assert pair_image(x | y << n) == image(x) | image(y) << n
 
 
 def test_containment_on_a_580_state_closure_stays_small():
