@@ -39,12 +39,11 @@ from __future__ import annotations
 import functools
 from collections.abc import Container, Iterable, Sequence
 
+from ._values import _Frozen, _basis_members
 from .dfa import (
     SUBSET_OP_LIMIT,
     Dfa,
-    _Frozen,
     _array_dfa,
-    _basis_members,
     _column_masks,
     _discover,
     _image_maps,
@@ -117,13 +116,19 @@ def _explore(dfa: Dfa, basis_masks: Iterable[int]):
     return pairs, rows, finals
 
 
+@functools.lru_cache(maxsize=1)
+def _pair_automaton(dfa: Dfa, mask: int):
+    """``_explore`` of one basis, kept for the atom DFA and its pair labels."""
+    return _explore(dfa, [mask])
+
+
 def build_atom_dfa(dfa: Dfa, basis: Iterable[int]) -> Dfa:
     """The DFA recognizing the atomic intersection named by ``basis``.
 
     Its start state is the pair (S, complement of S); state i of the result
     is the i-th pair state discovered, as reported by ``reachable_pair_states``.
     """
-    _, rows, finals = _explore(dfa, [_basis_mask(dfa, basis)])
+    _, rows, finals = _pair_automaton(dfa, _basis_mask(dfa, basis))
     return _array_dfa(dfa.alphabet, rows, finals)
 
 
@@ -131,7 +136,7 @@ def reachable_pair_states(dfa: Dfa, basis: Iterable[int]) -> tuple[PairState, ..
     """Pair-state labels of ``build_atom_dfa`` in state order."""
     n = dfa.state_count
     full = (1 << n) - 1
-    pairs, _, _ = _explore(dfa, [_basis_mask(dfa, basis)])
+    pairs, _, _ = _pair_automaton(dfa, _basis_mask(dfa, basis))
     return tuple(
         PairState.bottom() if p is None else PairState(_set_of(p & full), _set_of(p >> n))
         for p in pairs

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from math import comb
 
-from .dfa import _Frozen, _basis_members
+from ._values import _Frozen, _bad_ids, _basis_members
+from .errors import InvalidBasisError
 from .witnesses import _FIXED, WitnessClass
 
 TABLE_N_LIMIT = 12
@@ -78,11 +79,13 @@ def bound_for_basis(
     Right and two-sided ideals require the accepting sink in the basis; left
     and two-sided ideals require the initial state, state 1, absent unless
     the basis is the full state set.  ``sink`` defaults to state n.  Any
-    other basis gets ``atom_complexity_bound`` for its size.  A basis id
-    that is not a state in 1..n raises ``InvalidBasisError``.
+    other basis gets ``atom_complexity_bound`` for its size.  A basis id or
+    ``sink`` that is not a state in 1..n raises ``InvalidBasisError``.
     """
     _check(n, 0)
     basis = _basis_members(n, basis)
+    if sink is not None and _bad_ids(n, [sink]):
+        raise InvalidBasisError(f"sink {sink!r} not within 1..{n}")
     size = len(basis)
     has_sink, has_init = _FIXED[kind]
     if has_sink and (n if sink is None else sink) not in basis:

@@ -29,14 +29,13 @@ from collections.abc import Iterable
 # Only ``bound_sweep`` calls these three, so they are reached by module: the
 # package registers them lazily, and a cross-check runs none of them.
 from . import bounds, ideals, witnesses
+from ._values import _Frozen, _basis_members
 from .atoms import _explore, atom_complexity, enumerate_atoms, is_atom
 from .dfa import (
     SUBSET_OP_LIMIT,
     Dfa,
     Transformation,
-    _Frozen,
     _array_dfa,
-    _basis_members,
     _discover,
     _moore_blocks,
     _set_of,

@@ -390,3 +390,39 @@ def test_distinguishability_of_atom_dfa_states(kind):
                 )
                 if separable:
                     assert class_of[i + 1] != class_of[j + 1]
+
+
+def complement(d):
+    return Dfa(
+        d.state_count, d.alphabet, d.delta, d.initial,
+        frozenset(range(1, d.state_count + 1)) - d.finals,
+    )
+
+
+def minimal_random_dfas(count):
+    """The first ``count`` seeded random DFAs, over 2 or 3 letters, whose
+    minimal DFA has 10 to 14 states, minimized."""
+    found = []
+    for seed in itertools.count(7000):
+        d = minimize(random_dfa(RandomSpec(14, 2 + seed % 2, seed=seed)))
+        if d.state_count >= 10:
+            found.append(d)
+        if len(found) == count:
+            return found
+
+
+@pytest.mark.parametrize(
+    "dfa",
+    minimal_random_dfas(18)
+    + [regular_witness(9), left_ideal_witness(10), two_sided_ideal_witness(10)],
+)
+def test_complement_sends_each_basis_to_its_complement(dfa):
+    # Flipping the finals turns the atom of S into the atom of Q \ S, with
+    # the same quotients, so both reports hold the same atoms.
+    full = frozenset(range(1, dfa.state_count + 1))
+    report, flipped = enumerate_atoms(dfa), enumerate_atoms(complement(dfa))
+    assert flipped.state_count == report.state_count == dfa.state_count
+    assert {(full - info.basis, info.complexity) for info in flipped.atoms} == {
+        (info.basis, info.complexity) for info in report.atoms
+    }
+    assert flipped.count == report.count

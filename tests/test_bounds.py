@@ -123,6 +123,13 @@ def test_bound_for_basis_refuses_ids_that_are_not_states(kind, basis):
         bound_for_basis(kind, 4, basis)
 
 
+@pytest.mark.parametrize("kind", list(WitnessClass))
+@pytest.mark.parametrize("sink", [9, 0, "4", [1]])
+def test_bound_for_basis_refuses_a_sink_that_is_not_a_state(kind, sink):
+    with pytest.raises(InvalidBasisError, match="sink"):
+        bound_for_basis(kind, 4, {1, 4}, sink=sink)
+
+
 def test_build_table_rows_and_ratios():
     tables = build_table(REG, 5)
     assert [t.max_value for t in tables] == [1, 3, 10, 43, 141]

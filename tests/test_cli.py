@@ -1,6 +1,6 @@
 import pytest
 
-from dfatoms import parse_dfa, render_dfa, two_sided_ideal_witness, witness, WitnessClass
+from dfatoms import atoms, parse_dfa, render_dfa, two_sided_ideal_witness, witness, WitnessClass
 from dfatoms.cli import _named_subcommand, build_parser, main
 
 
@@ -151,6 +151,23 @@ def test_dot_atom_command(tmp_path, capsys):
     code, out, _ = run(capsys, "dot", "--dfa", str(target), "--atom", "3")
     assert code == 0
     assert 'label="({3},{1,2})"' in out
+
+
+def test_dot_atom_explores_the_pair_automaton_once(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "ts4.dfa"
+    target.write_text(render_dfa(two_sided_ideal_witness(4)))
+    # Another DFA's atom first, so no exploration is left over from earlier tests.
+    atoms.build_atom_dfa(witness(WitnessClass.REGULAR, 3), {3})
+    original, calls = atoms._explore, []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(atoms, "_explore", counting)
+    code, out, _ = run(capsys, "dot", "--dfa", str(target), "--atom", "2,3")
+    assert code == 0 and 'label="({2,3},{1,4})"' in out
+    assert len(calls) == 1
 
 
 def test_missing_file_is_domain_error(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -28,7 +29,7 @@ from dfatoms import (
     left_ideal_witness,
 )
 from dfatoms.dfa import _containment_masks, _image_maps, _mask_map, _preimage_maps
-from dfatoms.ideals import idealize, is_left_ideal
+from dfatoms.ideals import idealize, is_left_ideal, is_two_sided_ideal
 from oracles import (
     brute_columns,
     brute_partition,
@@ -224,8 +225,9 @@ def test_semigroup_of_left_witness():
 
 # Syntactic complexity (the size of the transition semigroup) of each ideal
 # class's witness up to n = 7, cross-checked against the brute closure up to
-# n = 5.  Two-sided n = 3 is left out: its reduced three-letter witness
-# generates 5 elements, against the formula's 6.
+# n = 5.  Two-sided n = 3 is left out because its reduced three-letter witness
+# generates 5 elements, not because the formula fails: the largest 3-state
+# two-sided ideal has 6, as the exhaustive test below pins.
 SEMIGROUP_SIZES = {
     WitnessClass.RIGHT_IDEAL: (range(3, 8), lambda n: n ** (n - 1)),
     WitnessClass.LEFT_IDEAL: (range(3, 8), lambda n: n ** (n - 1) + n - 1),
@@ -244,6 +246,24 @@ def test_semigroup_size_of_ideal_witnesses(kind, n):
     assert len(elems) == SEMIGROUP_SIZES[kind][1](n)
     if n <= 5:
         assert {t.image for t in elems} == brute_semigroup(d)
+
+
+@pytest.mark.parametrize("letters, largest", [(1, 2), (2, 5), (3, 6)])
+def test_largest_semigroup_of_a_three_state_two_sided_ideal(letters, largest):
+    # Every minimal 3-state two-sided ideal, up to renaming: initial state 1,
+    # the accepting sink 3 as the only final state, every letter fixing 3.
+    maps = [Transformation((p, q, 3)) for p in (1, 2, 3) for q in (1, 2, 3)]
+    alphabet = "abc"[:letters]
+    sizes = []
+    for images in itertools.product(maps, repeat=letters):
+        d = Dfa(3, alphabet, dict(zip(alphabet, images)), 1, frozenset({3}))
+        if minimize(d).state_count == 3 and is_two_sided_ideal(d):
+            elems = transition_semigroup(d, 27)
+            assert {t.image for t in elems} == brute_semigroup(d)
+            sizes.append(len(elems))
+    assert max(sizes) == largest
+    if letters == 3:  # the formula holds at n = 3
+        assert largest == SEMIGROUP_SIZES[WitnessClass.TWO_SIDED_IDEAL][1](3)
 
 
 def test_semigroup_cap_carries_partial_count():

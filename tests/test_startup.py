@@ -104,9 +104,9 @@ EVERY_SUBMODULE = set(SUBMODULES)
         (["atoms", "--dfa", "{dfa}"], 0, {"dfaformat", "dfa", "atoms"},
          {"harness", "bounds", "ideals", "witnesses"}),
         (["bounds", "--class", "left", "--n", "4"], 0, {"bounds", "witnesses"},
-         {"atoms", "harness", "ideals", "dfaformat"}),
+         {"atoms", "harness", "ideals", "dfaformat", "dfa"}),
         (["table", "--compare", "--max-n", "4"], 0, {"bounds", "witnesses"},
-         {"atoms", "harness", "ideals", "dfaformat"}),
+         {"atoms", "harness", "ideals", "dfaformat", "dfa"}),
         (["check-ideal", "--dfa", "{dfa}"], 0, {"dfaformat", "ideals"},
          {"atoms", "harness", "bounds"}),
         (["idealize", "--dfa", "{dfa}", "--kind", "left"], 0, {"dfaformat", "ideals"},
