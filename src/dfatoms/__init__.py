@@ -31,8 +31,7 @@ _EXPORTS = {
     "dfa": (
         "SUBSET_OP_LIMIT", "Dfa", "Transformation", "atom_bases_by_reversal", "compose",
         "distinguishability_classes", "induced_transformation", "minimize",
-        "quotient_complexity", "reachable", "state_language_contains",
-        "transition_semigroup",
+        "quotient_complexity", "reachable", "transition_semigroup",
     ),
     "dfaformat": ("dfa_to_dot", "parse_dfa", "render_dfa"),
     "errors": (
@@ -47,7 +46,8 @@ _EXPORTS = {
     ),
     "ideals": (
         "accepting_sink", "idealize", "is_left_ideal", "is_right_ideal",
-        "is_two_sided_ideal", "refined_two_sided_bound", "successor_sets",
+        "is_two_sided_ideal", "refined_two_sided_bound", "state_language_contains",
+        "successor_sets",
     ),
     "witnesses": (
         "WitnessClass", "left_ideal_witness", "regular_witness", "right_ideal_witness",

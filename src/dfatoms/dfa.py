@@ -9,7 +9,6 @@ state i is a member), which caps subset-enumerating operations at
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable, Iterable, Mapping
 from types import MappingProxyType
 
@@ -455,61 +454,3 @@ def atom_bases_by_reversal(dfa: Dfa) -> frozenset[frozenset[int]]:
     complexity of the reversed language.
     """
     return frozenset(_set_of(mask) for mask in _column_masks(dfa))
-
-
-@functools.lru_cache(maxsize=1)
-def _containment_masks(dfa: Dfa) -> tuple[int, ...]:
-    """Row p-1 is the mask of the states q whose right language contains p's.
-
-    K_p is not within K_q iff some word leads (p, q) to (final, non-final).
-    Those pairs are closed backwards: a worklist of rows carries each row's
-    newly failed q's, and a letter's preimage of them joins the row of every
-    p that the letter sends onto that row.  A pop costs one chain of n/4
-    lookups per letter, not one OR per failed q: O(n^3 k) lookups at worst,
-    but pops carry ~140 q's each at n = 580.  Nothing need be reachable or
-    minimal.  Kept for the last DFA, so reading it pair by pair builds it once.
-    """
-    n = dfa.state_count
-    full = (1 << n) - 1
-    fmask = _mask_of(dfa.finals)
-    # 4-bit tables: closures run to hundreds of states, and at 580 the peak
-    # is 0.65 MB with them, 4.1 MB with 8-bit ones, for about the same speed.
-    letters = []  # per letter: (preimage map, states sent onto each state)
-    for letter, preimage in zip(dfa.alphabet, _preimage_maps(dfa, 4)):
-        sources: list[list[int]] = [[] for _ in range(n)]
-        for p, r in enumerate(dfa.delta[letter].image):
-            sources[r - 1].append(p)
-        letters.append((preimage, sources))
-
-    bad = [full ^ fmask if fmask >> p & 1 else 0 for p in range(n)]
-    pending = list(bad)
-    work = [p for p in range(n) if pending[p]]
-    while work:
-        r = work.pop()
-        failed, pending[r] = pending[r], 0
-        for preimage, sources in letters:
-            if not sources[r]:
-                continue
-            image = preimage(failed)
-            for p in sources[r]:
-                new = image & ~bad[p]
-                if new:
-                    bad[p] |= new
-                    if not pending[p]:
-                        work.append(p)
-                    pending[p] |= new
-    return tuple(full ^ row for row in bad)
-
-
-def state_language_contains(dfa: Dfa, p: int, q: int) -> bool:
-    """Whether the right language of state p is a subset of that of state q.
-
-    True iff no word leads the pair jointly to (final, non-final); read from
-    row p of the table that one backward pass over state pairs builds for
-    the whole DFA, once for a run of questions about the same DFA.
-    """
-    n = dfa.state_count
-    for s in (p, q):
-        if not 1 <= s <= n:
-            raise InvalidDfaError(f"state {s} not in 1..{n}")
-    return bool(_containment_masks(dfa)[p - 1] >> (q - 1) & 1)

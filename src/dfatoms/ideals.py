@@ -9,19 +9,20 @@ from __future__ import annotations
 
 import functools
 
+from . import witnesses
+from ._values import _bad_ids
 from .dfa import (
     Dfa,
     Transformation,
     _array_dfa,
-    _containment_masks,
     _discover,
     _image_maps,
     _mask_of,
+    _preimage_maps,
     _set_of,
     minimize,
 )
-from .errors import EmptyLanguageError, NotAnIdealError
-from .witnesses import _FIXED, WitnessClass
+from .errors import EmptyLanguageError, InvalidDfaError, NotAnIdealError
 
 DETERMINIZE_CAP = 1 << 16
 
@@ -44,6 +45,64 @@ def is_right_ideal(dfa: Dfa) -> bool:
         for q in minimal.finals
         for letter in minimal.alphabet
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _containment_masks(dfa: Dfa) -> tuple[int, ...]:
+    """Row p-1 is the mask of the states q whose right language contains p's.
+
+    K_p is not within K_q iff some word leads (p, q) to (final, non-final).
+    Those pairs are closed backwards: a worklist of rows carries each row's
+    newly failed q's, and a letter's preimage of them joins the row of every
+    p that the letter sends onto that row.  A pop costs one chain of n/4
+    lookups per letter, not one OR per failed q: O(n^3 k) lookups at worst,
+    but pops carry ~140 q's each at n = 580.  Nothing need be reachable or
+    minimal.  Kept for the last DFA, so reading it pair by pair builds it once.
+    """
+    n = dfa.state_count
+    full = (1 << n) - 1
+    fmask = _mask_of(dfa.finals)
+    # 4-bit tables: closures run to hundreds of states, and at 580 the peak
+    # is 0.65 MB with them, 4.1 MB with 8-bit ones, for about the same speed.
+    letters = []  # per letter: (preimage map, states sent onto each state)
+    for letter, preimage in zip(dfa.alphabet, _preimage_maps(dfa, 4)):
+        sources: list[list[int]] = [[] for _ in range(n)]
+        for p, r in enumerate(dfa.delta[letter].image):
+            sources[r - 1].append(p)
+        letters.append((preimage, sources))
+
+    bad = [full ^ fmask if fmask >> p & 1 else 0 for p in range(n)]
+    pending = list(bad)
+    work = [p for p in range(n) if pending[p]]
+    while work:
+        r = work.pop()
+        failed, pending[r] = pending[r], 0
+        for preimage, sources in letters:
+            if not sources[r]:
+                continue
+            image = preimage(failed)
+            for p in sources[r]:
+                new = image & ~bad[p]
+                if new:
+                    bad[p] |= new
+                    if not pending[p]:
+                        work.append(p)
+                    pending[p] |= new
+    return tuple(full ^ row for row in bad)
+
+
+def state_language_contains(dfa: Dfa, p: int, q: int) -> bool:
+    """Whether the right language of state p is a subset of that of state q.
+
+    True iff no word leads the pair jointly to (final, non-final); read from
+    row p of the table that one backward pass over state pairs builds for
+    the whole DFA, once for a run of questions about the same DFA.
+    """
+    n = dfa.state_count
+    for s in (p, q):
+        if _bad_ids(n, [s]):
+            raise InvalidDfaError(f"state {s!r} not in 1..{n}")
+    return bool(_containment_masks(dfa)[p - 1] >> (q - 1) & 1)
 
 
 def is_left_ideal(dfa: Dfa) -> bool:
@@ -79,7 +138,7 @@ def _prefix_closure(dfa: Dfa, cap: int) -> Dfa:
     return minimize(_array_dfa(dfa.alphabet, rows, [s & fmask for s in subsets]))
 
 
-def idealize(dfa: Dfa, kind: WitnessClass, cap: int = DETERMINIZE_CAP) -> Dfa:
+def idealize(dfa: Dfa, kind: witnesses.WitnessClass, cap: int = DETERMINIZE_CAP) -> Dfa:
     """A DFA for the closure of the language into the class ``kind``.
 
     A class that fixes the accepting sink makes final states absorbing
@@ -88,7 +147,7 @@ def idealize(dfa: Dfa, kind: WitnessClass, cap: int = DETERMINIZE_CAP) -> Dfa:
     closure).  A two-sided ideal takes both; ``REGULAR`` takes neither and
     returns ``dfa`` itself.
     """
-    sink, init = _FIXED[kind]
+    sink, init = witnesses._FIXED[kind]
     if sink:
         dfa = _absorb_finals(dfa)
     if init:

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 import random
@@ -75,16 +76,29 @@ def test_basis_validation():
         atom_complexity(d, {1, 4})
 
 
-def test_state_limit_enforced():
-    big = Dfa(
-        21,
-        ("a",),
-        {"a": Transformation.identity(21)},
-        1,
-        frozenset({1}),
-    )
-    with pytest.raises(LimitExceededError):
-        build_atom_dfa(big, {1})
+ATOM_LIMIT = "atom operations support at most 20 states, got 21"
+COLUMN_LIMIT = "column enumeration supports at most 20 states, got 21"
+
+
+@pytest.mark.parametrize(
+    "operation, args, message",
+    [
+        (build_atom_dfa, ({1},), ATOM_LIMIT),
+        (reachable_pair_states, ({1},), ATOM_LIMIT),
+        (is_atom, ({1},), ATOM_LIMIT),
+        (atom_complexity, ({1},), ATOM_LIMIT),
+        (enumerate_atoms, (), COLUMN_LIMIT),
+        (atom_bases_by_reversal, (), COLUMN_LIMIT),
+    ],
+    ids=[
+        "build_atom_dfa", "reachable_pair_states", "is_atom", "atom_complexity",
+        "enumerate_atoms", "atom_bases_by_reversal",
+    ],
+)
+def test_state_limit_enforced(operation, args, message):
+    # A minimal DFA: enumerate_atoms minimizes before it enumerates columns.
+    with pytest.raises(LimitExceededError, match=f"^{message}$"):
+        operation(regular_witness(21), *args)
 
 
 def test_is_atom_right_witness_needs_sink():
@@ -426,3 +440,83 @@ def test_complement_sends_each_basis_to_its_complement(dfa):
         (info.basis, info.complexity) for info in report.atoms
     }
     assert flipped.count == report.count
+
+
+# Renaming, a duplicate letter and a split state keep every atom.  Inputs are
+# minimal and numbered breadth-first, as minimize numbers them, so a split
+# input minimizes back to itself.
+METAMORPHIC_INPUTS = [
+    minimize(d)
+    for d in (
+        regular_witness(9), right_ideal_witness(10), left_ideal_witness(10),
+        two_sided_ideal_witness(11),
+    )
+] + minimal_random_dfas(6)
+original_report = functools.lru_cache(maxsize=None)(enumerate_atoms)
+
+
+def renamed(d, perm):
+    """``d`` with each state q renamed ``perm[q - 1]``."""
+    delta = {}
+    for letter in d.alphabet:
+        image = [0] * d.state_count
+        for q, r in enumerate(d.delta[letter].image):
+            image[perm[q] - 1] = perm[r - 1]
+        delta[letter] = Transformation(image)
+    finals = frozenset(perm[q - 1] for q in d.finals)
+    return Dfa(d.state_count, d.alphabet, delta, perm[d.initial - 1], finals)
+
+
+def split_state(d, rng):
+    """``d`` with a state s split in two: state n + 1 gets s's row and
+    finality, and a seeded non-empty share, not all, of s's in-edges."""
+    n = d.state_count
+    into = {
+        s: [(letter, q) for letter in d.alphabet for q in range(1, n + 1)
+            if d.delta[letter](q) == s]
+        for s in range(1, n + 1)
+    }
+    s = rng.choice([s for s, edges in into.items() if len(edges) >= 2])
+    moved = set(rng.sample(into[s], rng.randint(1, len(into[s]) - 1)))
+    delta = {}
+    for letter in d.alphabet:
+        image = [n + 1 if (letter, q) in moved else r
+                 for q, r in enumerate(d.delta[letter].image, start=1)]
+        delta[letter] = Transformation(image + [image[s - 1]])
+    finals = d.finals | {n + 1} if s in d.finals else d.finals
+    return s, Dfa(n + 1, d.alphabet, delta, d.initial, finals)
+
+
+@pytest.mark.parametrize("dfa", METAMORPHIC_INPUTS)
+def test_renaming_states_renames_each_basis(dfa):
+    perm = list(range(1, dfa.state_count + 1))
+    random.Random(dfa.state_count).shuffle(perm)
+    report, original = enumerate_atoms(renamed(dfa, perm)), original_report(dfa)
+    assert report.count == original.count
+    assert {(info.basis, info.complexity) for info in report.atoms} == {
+        (frozenset(perm[q - 1] for q in info.basis), info.complexity)
+        for info in original.atoms
+    }
+
+
+@pytest.mark.parametrize("dfa", METAMORPHIC_INPUTS)
+def test_duplicate_letter_changes_no_atom(dfa):
+    letter = random.Random(dfa.state_count).choice(dfa.alphabet)
+    doubled = Dfa(
+        dfa.state_count, dfa.alphabet + ("copy",), {**dfa.delta, "copy": dfa.delta[letter]},
+        dfa.initial, dfa.finals,
+    )
+    assert enumerate_atoms(doubled) == original_report(dfa)
+
+
+@pytest.mark.parametrize("dfa", METAMORPHIC_INPUTS)
+def test_split_state_keeps_each_atom(dfa):
+    rng = random.Random(dfa.state_count)
+    s, split = split_state(dfa, rng)
+    report = original_report(dfa)
+    assert enumerate_atoms(split) == report
+    # The copy n + 1 has s's language, so it joins every basis that holds s.
+    # All calls on one DFA: alternating DFAs rebuilds the quotient engine.
+    for info in rng.sample(report.atoms, 8):
+        basis = info.basis | {split.state_count} if s in info.basis else info.basis
+        assert atom_complexity(split, basis) == info.complexity

@@ -28,8 +28,8 @@ from dfatoms import (
     WitnessClass,
     left_ideal_witness,
 )
-from dfatoms.dfa import _containment_masks, _image_maps, _mask_map, _preimage_maps
-from dfatoms.ideals import idealize, is_left_ideal, is_two_sided_ideal
+from dfatoms.dfa import _image_maps, _mask_map, _preimage_maps
+from dfatoms.ideals import _containment_masks, idealize, is_left_ideal, is_two_sided_ideal
 from oracles import (
     brute_columns,
     brute_partition,
@@ -306,6 +306,15 @@ def test_atom_bases_match_brute_columns():
 def test_contains_is_reflexive():
     d = regular_witness(4)
     assert all(state_language_contains(d, q, q) for q in range(1, 5))
+
+
+@pytest.mark.parametrize("state", [0, 5, "1", 1.0, None], ids=repr)
+@pytest.mark.parametrize("side", ["p", "q"])
+def test_contains_refuses_a_state_that_is_not_an_int_id(side, state):
+    p, q = (state, 1) if side == "p" else (1, state)
+    with pytest.raises(InvalidDfaError) as info:
+        state_language_contains(regular_witness(4), p, q)
+    assert str(info.value) == f"state {state!r} not in 1..4"
 
 
 def test_left_witness_initial_language_is_smallest():

@@ -131,6 +131,20 @@ def test_integers_outside_ascii_digits_rejected(field, bad):
     assert "must be an integer" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("alphabet a b", "alphabet a a", "line 3: alphabet letters must be distinct"),
+        ("trans a 2 3 1", "trans", "line 6: expected 'trans <letter> <img1> ...'"),
+    ],
+    ids=["repeated-letter", "bare-trans"],
+)
+def test_malformed_line_rejected_with_its_message(field, bad, message):
+    with pytest.raises(ParseError) as info:
+        parse_dfa(VALID_DOC.replace(field, bad))
+    assert str(info.value) == message
+
+
 def test_truncated_document():
     with pytest.raises(ParseError):
         parse_dfa("dfa v1\nstates 2\n")

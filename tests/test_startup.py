@@ -108,7 +108,7 @@ EVERY_SUBMODULE = set(SUBMODULES)
         (["table", "--compare", "--max-n", "4"], 0, {"bounds", "witnesses"},
          {"atoms", "harness", "ideals", "dfaformat", "dfa"}),
         (["check-ideal", "--dfa", "{dfa}"], 0, {"dfaformat", "ideals"},
-         {"atoms", "harness", "bounds"}),
+         {"atoms", "harness", "bounds", "witnesses"}),
         (["idealize", "--dfa", "{dfa}", "--kind", "left"], 0, {"dfaformat", "ideals"},
          {"atoms", "harness", "bounds"}),
         (["crosscheck", "--n", "3", "--letters", "2", "--samples", "2", "--seed", "1"], 0,
