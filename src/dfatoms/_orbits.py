@@ -1,0 +1,202 @@
+"""The orbit route: atom complexities counted over orbits of quotient keys.
+
+Let G be the group the permutation letters of a DFA generate.  When G is the
+product of the full symmetric groups on its state orbits (``_symmetric_orbits``
+proves it), the G-orbit of a disjoint pair (X, Y) is named by its
+*signature*, the counts (|X & O|, |Y & O|) on each state orbit O, and it
+holds the product over O of C(|O|, x) * C(|O| - x, y) pairs.  Counting by
+orbits is then exact:
+
+- ``key`` commutes with G (``_QuotientEngine.step`` says why), so a key's
+  orbit is a set of keys of one complexity.
+- The keys an atom reaches are a union of orbits.  A permutation letter keeps
+  a key in its orbit, and the letters reach every key of it, since the
+  inverse of a permutation is one of its powers.
+- So an atom's complexity is the total size of the orbits that its start
+  key's orbit reaches, the empty quotient None counted once.  Orbit K' follows
+  K when some key of K steps into K' under a letter that is not a permutation.
+
+Such a letter l does not commute with G, so the successors of one
+representative per orbit are too few.  Split each state orbit into *cells*:
+the states that one fibre of l with two or more states holds, and the states
+of singleton fibres whose images lie in one orbit.  Two pairs with the same
+counts in every cell differ by a permutation p within cells, which lies in
+G, and l p = s l on them for some s in G, so their image keys share an
+orbit.  One representative per way of spreading the counts over the cells
+therefore gives every successor orbit.
+"""
+
+from __future__ import annotations
+
+import itertools
+from math import comb, prod
+
+
+def _symmetric_orbits(dfa) -> list[int] | None:
+    """The masks of the state orbits of the group G that the permutation
+    letters generate, smallest state first, when G is the product of the
+    full symmetric groups on them; None otherwise.
+
+    G lies in that product.  It holds Sym(O) when it holds a transposition
+    (p q) inside O whose conjugates connect O: the edges {g(p), g(q)} for g
+    in G are transpositions of G, and transpositions whose edges connect O
+    generate Sym(O).  The parts the edges connect are the finest partition
+    that G keeps and that joins p and q, found by joining the images of
+    each pair joined.  If G holds Sym(O), every transposition's conjugates
+    connect O, so the first one found decides.  It is looked for among the
+    letters, then among products of two letters or their inverses (the right
+    ideal witness's is a b^-1).  A refusal is safe: the general route runs.
+    """
+    n = dfa.state_count
+    perms = [t for t in (tuple(q - 1 for q in dfa.delta[a].image) for a in dfa.alphabet)
+             if len(set(t)) == n]
+
+    def parts(pairs, images):
+        """Labels of the parts that joining ``pairs``, and the ``images`` of
+        each pair joined, makes."""
+        label = list(range(n))
+        for p, q in pairs:  # grows as it goes
+            if label[p] != label[q]:
+                label = [label[p] if c == label[q] else c for c in label]
+                pairs += [(t[p], t[q]) for t in images]
+        return label
+
+    orbit = parts([(q, t[q]) for t in perms for q in range(n)], [])
+    unproved = {o for o in orbit if orbit.count(o) > 1}
+    both = perms + [tuple(sorted(range(n), key=t.__getitem__)) for t in perms]
+    products = (tuple(t[s[q]] for q in range(n)) for s in both for t in both)
+    for g in itertools.chain(perms, products):
+        if not unproved:
+            break
+        moved = [q for q in range(n) if g[q] != q]
+        if len(moved) != 2 or orbit[moved[0]] not in unproved:
+            continue
+        unproved.remove(orbit[moved[0]])
+        label = parts([moved], perms)
+        if label.count(label[moved[0]]) < orbit.count(orbit[moved[0]]):
+            return None
+    return None if unproved else [
+        sum(1 << q for q in range(n) if orbit[q] == o) for o in dict.fromkeys(orbit)
+    ]
+
+
+class _OrbitCounter:
+    """Atom complexities of one DFA, with ``_QuotientEngine``'s contract.
+
+    ``orbits`` are the state orbits' masks.  Per letter that is not a
+    permutation, ``letters`` holds its packed-pair map and, per state orbit,
+    its *spreads*: for each count (x, y), one packed pair per way of
+    spreading x X-states and y Y-states over the letter's cells, the first
+    states of a cell going to X and the next ones to Y.  ``image_orbits``
+    caches the key orbit of an image pair's orbit, ``successors`` each
+    orbit's successor orbits and ``counts`` each start orbit's count.
+    """
+
+    def __init__(self, dfa, engine, orbits: list[int]):
+        n = engine.n
+        self.engine = engine
+        self.orbits = orbits
+        self.sizes = [o.bit_count() for o in orbits]
+        orbit_of = [next(i for i, o in enumerate(orbits) if o >> q & 1) for q in range(n)]
+        self.letters = []
+        kinds = set()
+        for letter, (image_of, permutes) in zip(dfa.alphabet, engine.letters):
+            if permutes:
+                continue
+            image = [r - 1 for r in dfa.delta[letter].image]
+            fibres = [[0] * len(orbits) for _ in image]  # per target, its sources per orbit
+            for q, r in enumerate(image):
+                fibres[r][orbit_of[q]] += 1
+            # Letters l and s l p, for s and p in G, lead an orbit into the same
+            # orbits, and these are the letters with the same fibres per orbit.
+            kind = tuple(sorted((orbit_of[r], tuple(f)) for r, f in enumerate(fibres) if any(f)))
+            if kind in kinds:
+                continue
+            kinds.add(kind)
+            cells: list[dict] = [{} for _ in orbits]
+            for q, r in enumerate(image):
+                # A shared fibre is named by its target, as a 1-tuple, and
+                # the singleton fibres by the orbit of their images.
+                cell = (r,) if sum(fibres[r]) > 1 else orbit_of[r]
+                prefix = cells[orbit_of[q]].setdefault(cell, [0])
+                prefix.append(prefix[-1] | 1 << q)
+            spreads = []
+            for orbit in cells:
+                spread = {(0, 0): [0]}
+                for prefix in orbit.values():  # prefix[k] masks the cell's first k states
+                    grown: dict[tuple, list[int]] = {}
+                    for (x, y), pairs in spread.items():
+                        for i in range(len(prefix)):
+                            for j in range(i, len(prefix)):  # X: i states, Y: j - i
+                                part = prefix[i] | (prefix[j] ^ prefix[i]) << n
+                                grown.setdefault((x + i, y + j - i), []).extend(
+                                    p | part for p in pairs
+                                )
+                    spread = grown
+                spreads.append(spread)
+            self.letters.append((image_of, spreads))
+        self.image_orbits: dict[tuple, tuple | None] = {}
+        self.successors: dict[tuple, set] = {}
+        self.counts: dict[tuple, int] = {}
+
+    def signature(self, pair: int) -> tuple:
+        """The counts (|X & O|, |Y & O|) of a packed pair per orbit O."""
+        y = pair >> self.engine.n
+        return tuple(((pair & o).bit_count(), (y & o).bit_count()) for o in self.orbits)
+
+    def _step(self, orbit: tuple) -> set:
+        """The orbits the letters that are not permutations lead ``orbit`` into.
+
+        ``key`` runs once per orbit of image pairs: images in one orbit have
+        keys in one orbit.
+        """
+        engine = self.engine
+        n, full = engine.n, engine.full
+        found = set()
+        for image_of, spreads in self.letters:
+            for parts in itertools.product(*map(dict.__getitem__, spreads, orbit)):
+                image = image_of(sum(parts))
+                if image & full & image >> n:
+                    found.add(None)
+                    continue
+                sig = self.signature(image)
+                if sig not in self.image_orbits:
+                    key = engine.key(image & full, image >> n)
+                    self.image_orbits[sig] = None if key is None else self.signature(key)
+                found.add(self.image_orbits[sig])
+        return found
+
+    def _count(self, start: tuple) -> int:
+        """The total size of the orbits ``start`` reaches, itself included."""
+        count = self.counts.get(start)
+        if count is None:
+            seen = {start}
+            order = [start]
+            for orbit in order:
+                if orbit is None:
+                    continue
+                successors = self.successors.get(orbit)
+                if successors is None:
+                    self.successors[orbit] = successors = self._step(orbit)
+                for succ in successors - seen:
+                    seen.add(succ)
+                    order.append(succ)
+            count = sum(
+                1 if orbit is None else
+                prod(comb(s, x) * comb(s - x, y) for s, (x, y) in zip(self.sizes, orbit))
+                for orbit in seen
+            )
+            self.counts[start] = count
+        return count
+
+    def complexity(self, basis_mask: int) -> int:
+        """Number of distinct quotients of the atom, or 0 if it is empty."""
+        engine = self.engine
+        start = engine.key(basis_mask, engine.full ^ basis_mask)
+        return 0 if start is None else self._count(self.signature(start))
+
+    def complexities(self) -> list[int]:
+        """The complexity of every atom, in the engine's ``columns`` order."""
+        n, full = self.engine.n, self.engine.full
+        starts = (col | (full ^ col) << n for col in self.engine.columns)
+        return [self._count(self.signature(start)) for start in starts]

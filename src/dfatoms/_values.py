@@ -30,9 +30,14 @@ def _id_order(q) -> tuple:
     return (0, q, "") if isinstance(q, int) else (1, 0, repr(q))
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int and not a bool, which Python counts as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _bad_ids(n: int, ids: Iterable) -> list:
     """The members of ``ids`` that are not int state ids in 1..n, ints first."""
-    bad = [q for q in ids if not (isinstance(q, int) and 1 <= q <= n)]
+    bad = [q for q in ids if not (_is_int(q) and 1 <= q <= n)]
     bad.sort(key=_id_order)
     return bad
 

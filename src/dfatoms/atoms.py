@@ -32,6 +32,11 @@ some atom reaches, once, with the same step, and finds its strongly
 connected components.  Each component's reach, the keys it leads to, is its
 own keys plus its successors' reach, so one pass in Tarjan's emission order
 gives every atom's complexity as the size of the reach of its start key.
+
+That is the general route.  When the permutation letters generate exactly
+the product of the full symmetric groups on their state orbits, both count
+the keys by orbits of that group instead: the orbit route, in ``_orbits``,
+never lists the keys.
 """
 
 from __future__ import annotations
@@ -346,6 +351,21 @@ def _engine(dfa: Dfa) -> _QuotientEngine:
     return _QuotientEngine(dfa)
 
 
+@functools.lru_cache(maxsize=1)
+def _counter(dfa: Dfa):
+    """The orbit route's counter of ``dfa`` when ``_orbits`` proves it exact,
+    else the general route, ``_engine``; both count alike.  Only a DFA with
+    a permutation letter that moves a state runs ``_orbits``."""
+    engine = _engine(dfa)
+    if not any(permutes and not dfa.delta[letter].is_identity()
+               for letter, (_, permutes) in zip(dfa.alphabet, engine.letters)):
+        return engine
+    from ._orbits import _OrbitCounter, _symmetric_orbits
+
+    orbits = _symmetric_orbits(dfa)
+    return engine if orbits is None else _OrbitCounter(dfa, engine, orbits)
+
+
 def atom_complexity(dfa: Dfa, basis: Iterable[int]) -> int:
     """Quotient complexity of the atom named by ``basis``.
 
@@ -356,7 +376,7 @@ def atom_complexity(dfa: Dfa, basis: Iterable[int]) -> int:
     ``NotAnAtomError`` when the intersection is empty.
     """
     mask = _basis_mask(dfa, basis)
-    complexity = _engine(dfa).complexity(mask)
+    complexity = _counter(dfa).complexity(mask)
     if not complexity:
         raise NotAnAtomError(
             f"basis {sorted(_set_of(mask))} names an empty atomic intersection"
@@ -387,13 +407,15 @@ def enumerate_atoms(dfa: Dfa) -> AtomReport:
     the states of the minimal DFA.  Bases come from the achievable-column
     closure.  The complexities come from one pass over the graph of every
     quotient key that some atom reaches: each atom counts the keys its start
-    key reaches, read off the graph's strongly connected components.
+    key reaches, read off the graph's strongly connected components.  Where
+    the orbit route applies (see the module docstring), they come from the
+    orbits of those keys instead.
     """
     minimal = minimize(dfa)
     if minimal.state_count == dfa.state_count:
         minimal = dfa
     engine = _engine(minimal)
-    counts = engine.complexities()
+    counts = _counter(minimal).complexities()
     infos = sorted(
         (AtomInfo(_set_of(col), count) for col, count in zip(engine.columns, counts)),
         key=lambda info: (len(info.basis), sorted(info.basis)),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping
 from types import MappingProxyType
 
-from ._values import _Frozen, _bad_ids, _id_order
+from ._values import _Frozen, _bad_ids, _id_order, _is_int
 from .errors import (
     CapExceededError,
     InvalidDfaError,
@@ -52,7 +52,7 @@ class Transformation(_Frozen):
         if n == 0:
             raise InvalidDfaError("a transformation must act on at least one state")
         for i, q in enumerate(image, start=1):
-            if not isinstance(q, int) or not 1 <= q <= n:
+            if not _is_int(q) or not 1 <= q <= n:
                 raise InvalidDfaError(f"image of state {i} is {q!r}, not in 1..{n}")
         super().__init__(image)
 
@@ -130,7 +130,7 @@ class Dfa(_Frozen):
         finals = _coerced(frozenset, finals, "final states must be an iterable of state ids")
         super().__init__(state_count, alphabet, delta, initial, finals)
         n = self.state_count
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise InvalidDfaError(f"state count must be a positive int, got {n!r}")
         if not self.alphabet:
             raise InvalidDfaError("alphabet must be non-empty")
@@ -247,16 +247,18 @@ def _discover(starts, step, letters: int, cap: int | None = None):
     semigroup (``transition_semigroup``) and the reversal oracle's subset
     automaton (``harness.reversal_quotient_complexity``).
 
-    Three forward searches keep loops of their own.  The column closure
+    Four forward searches keep loops of their own.  The column closure
     (``_column_masks``) runs on every enumeration and atom query, and
     through this loop, building rows it does not need, it took 1.6-2x as
     long at n = 10-16.  A single atom's quotient walk
     (``_QuotientEngine.complexity``) shares the key graph's ``step`` but
     stops at the keys that atom reaches and memoizes successors across
-    atoms; with rows it was about 13 % slower.  The monoid oracle
-    (``harness._MonoidDfa``) keeps its own search, which also records each
-    element's predecessors and groups the elements by column, to stay
-    independent of the key graph it checks.
+    atoms; with rows it was about 13 % slower.  The orbit route's search
+    (``_orbits._OrbitCounter``) steps one orbit to several orbits under one
+    letter, which a row of one successor per letter cannot hold.  The
+    monoid oracle (``harness._MonoidDfa``) keeps its own search, which also
+    records each element's predecessors and groups the elements by column,
+    to stay independent of the key graph it checks.
     """
     nodes = list(starts)
     index = {node: i for i, node in enumerate(nodes)}

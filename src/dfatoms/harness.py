@@ -29,7 +29,7 @@ from collections.abc import Iterable
 # Only ``bound_sweep`` calls these three, so they are reached by module: the
 # package registers them lazily, and a cross-check runs none of them.
 from . import bounds, ideals, witnesses
-from ._values import _Frozen, _basis_members
+from ._values import _Frozen, _basis_members, _is_int
 from .atoms import _explore, atom_complexity, enumerate_atoms, is_atom
 from .dfa import (
     SUBSET_OP_LIMIT,
@@ -65,7 +65,7 @@ class RandomSpec(_Frozen):
     ) -> None:
         super().__init__(state_count, letters, seed, final_density)
         for name, value in (("state_count", state_count), ("letters", letters), ("seed", seed)):
-            if not isinstance(value, int):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.state_count < 1:
             raise ValueError("state_count must be at least 1")
@@ -286,6 +286,7 @@ def cross_check(dfa: Dfa, description: str = "") -> CrossCheckReport:
     ``is_atom``, which reads the columns, gates the two complexity routes, and
     each atom's complexity from the one pass of ``enumerate_atoms`` must equal
     its ``atom_complexity`` walk.  The atom count is the number of columns.
+    Where both take the orbit route, the monoid oracle is the check on it.
     """
     minimal = minimize(dfa)
     monoid = _MonoidDfa(minimal)  # refuses more than ORACLE_STATE_LIMIT states

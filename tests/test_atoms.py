@@ -33,6 +33,7 @@ from dfatoms import (
     WitnessClass,
 )
 from dfatoms import atoms
+from dfatoms._orbits import _OrbitCounter
 from oracles import column_of, monoid_row_atom_complexity
 
 
@@ -181,9 +182,9 @@ def test_quotient_walk_canonicalizes_few_images(monkeypatch, basis, most):
         return key(self, x, y)
 
     monkeypatch.setattr(atoms._QuotientEngine, "key", counted)
-    atoms._engine.cache_clear()
     d = witness(WitnessClass.REGULAR, 10)
-    assert atom_complexity(d, basis) == atom_complexity_bound(WitnessClass.REGULAR, 10, len(basis))
+    complexity = atoms._QuotientEngine(d).complexity(atoms._basis_mask(d, basis))
+    assert complexity == atom_complexity_bound(WitnessClass.REGULAR, 10, len(basis))
     assert calls <= most
 
 
@@ -316,9 +317,14 @@ def test_universal_automata_attain_exactly_the_bounds(kind, n, finals):
     their condition allows are not closed under composition, so those rows
     are checked on the witnesses only.
     """
-    engine = atoms._QuotientEngine(universal_dfa(n, finals, kind is WitnessClass.RIGHT_IDEAL))
+    d = universal_dfa(n, finals, kind is WitnessClass.RIGHT_IDEAL)
+    engine = atoms._QuotientEngine(d)
+    counts = engine.complexities()
+    # Its permutation letters are every permutation: the orbit route counts too.
+    assert type(atoms._counter(d)) is _OrbitCounter
+    assert atoms._counter(d).complexities() == counts
     maxima = {}
-    for col, count in zip(engine.columns, engine.complexities()):
+    for col, count in zip(engine.columns, counts):
         size = col.bit_count()
         maxima[size] = max(maxima.get(size, 0), count)
     bounds = {size: atom_complexity_bound(kind, n, size) for size in range(n + 1)}

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import dfatoms
-from dfatoms import cli, render_dfa, witness, WitnessClass
+from dfatoms import RandomSpec, cli, minimize, random_dfa, render_dfa, witness, WitnessClass
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SUBMODULES = sorted(dfatoms._EXPORTS)
@@ -101,8 +101,12 @@ EVERY_SUBMODULE = set(SUBMODULES)
         (["atoms"], 2, {"errors"}, EVERY_SUBMODULE - {"errors"}),
         (["witness", "--class", "left", "--n", "3"], 0, {"witnesses", "dfa", "dfaformat"},
          {"atoms", "harness", "bounds", "ideals"}),
-        (["atoms", "--dfa", "{dfa}"], 0, {"dfaformat", "dfa", "atoms"},
+        (["atoms", "--dfa", "{dfa}"], 0, {"dfaformat", "dfa", "atoms", "_orbits"},
          {"harness", "bounds", "ideals", "witnesses"}),
+        # No letter of the random DFA is a permutation: the orbit route is
+        # not taken, and its module does not run.
+        (["atoms", "--dfa", "{random}", "--basis", "4,5,6"], 0, {"dfaformat", "dfa", "atoms"},
+         {"_orbits", "harness", "bounds", "ideals", "witnesses"}),
         (["bounds", "--class", "left", "--n", "4"], 0, {"bounds", "witnesses"},
          {"atoms", "harness", "ideals", "dfaformat", "dfa"}),
         (["table", "--compare", "--max-n", "4"], 0, {"bounds", "witnesses"},
@@ -117,7 +121,7 @@ EVERY_SUBMODULE = set(SUBMODULES)
          {"atoms", "harness", "bounds", "ideals", "witnesses"}),
     ],
     ids=[
-        "help", "usage-error", "witness", "atoms", "bounds", "table", "check-ideal",
+        "help", "usage-error", "witness", "atoms", "atoms-basis", "bounds", "table", "check-ideal",
         "idealize", "crosscheck", "dot",
     ],
 )
@@ -126,7 +130,9 @@ def test_cli_executes_only_the_modules_its_subcommand_calls(
 ):
     path = tmp_path / "l4.dfa"
     path.write_text(render_dfa(witness(WitnessClass.LEFT_IDEAL, 4)))
-    argv = [arg.format(dfa=path) for arg in argv]
+    random_path = tmp_path / "random.dfa"
+    random_path.write_text(render_dfa(minimize(random_dfa(RandomSpec(6, 3, 1)))))
+    argv = [arg.format(dfa=path, random=random_path) for arg in argv]
     exit_code, executed = json.loads(run_python("-c", CLI_PROBE, *argv).stdout)
     assert exit_code == code
     assert called <= set(executed)

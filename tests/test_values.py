@@ -17,13 +17,21 @@ from dfatoms import (
     BoundsTable,
     CrossCheckReport,
     Dfa,
+    InvalidBasisError,
+    InvalidDfaError,
     PairState,
     RandomSpec,
     SweepReport,
     Transformation,
     WitnessClass,
+    bound_for_basis,
+    dfa_to_dot,
+    is_atom,
     left_ideal_witness,
+    random_dfa,
     regular_witness,
+    render_dfa,
+    state_language_contains,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -177,3 +185,46 @@ def test_cli_import_skips_dataclasses_and_inspect():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+# ``True`` and ``False`` are ints to Python, but neither is a state id or a
+# count: each raises the error, and the message, an id or count of the wrong
+# type gets.  Accepted, they rendered files such as ``states True`` that the
+# parser refuses.
+BOOL_CASES = {
+    "is_atom": (lambda: is_atom(regular_witness(4), {True}),
+                InvalidBasisError, "basis ids [True] not within 1..4"),
+    "bound_for_basis": (lambda: bound_for_basis(WitnessClass.REGULAR, 4, {True}),
+                        InvalidBasisError, "basis ids [True] not within 1..4"),
+    "bound_for_basis-sink": (lambda: bound_for_basis(WitnessClass.RIGHT_IDEAL, 4, {4}, sink=True),
+                             InvalidBasisError, "sink True not within 1..4"),
+    "state_language_contains": (lambda: state_language_contains(regular_witness(4), True, 1),
+                                InvalidDfaError, "state True not in 1..4"),
+    "transformation": (lambda: Transformation((True, 2)),
+                       InvalidDfaError, "image of state 1 is True, not in 1..2"),
+    "dfa-state-count": (lambda: Dfa(True, ("a",), {"a": Transformation((1,))}, 1, {1}),
+                        InvalidDfaError, "state count must be a positive int, got True"),
+    "dfa-initial": (lambda: Dfa(2, ("a",), {"a": Transformation((1, 2))}, True, {2}),
+                    InvalidDfaError, "initial state True not in 1..2"),
+    "dfa-finals": (lambda: Dfa(2, ("a",), {"a": Transformation((1, 2))}, 1, {True}),
+                   InvalidDfaError, "final states [True] not within 1..2"),
+    "render-random": (lambda: render_dfa(random_dfa(RandomSpec(True, 2, 1))),
+                      ValueError, "state_count must be an int, got True"),
+    "render": (lambda: render_dfa(Dfa(2, ("a",), {"a": Transformation((True, 2))}, True, {2})),
+               InvalidDfaError, "image of state 1 is True, not in 1..2"),
+    "dot": (lambda: dfa_to_dot(Dfa(2, ("a",), {"a": Transformation((True, 2))}, True, {2})),
+            InvalidDfaError, "image of state 1 is True, not in 1..2"),
+    "random-state-count": (lambda: RandomSpec(True, 2, 1),
+                           ValueError, "state_count must be an int, got True"),
+    "random-letters": (lambda: RandomSpec(3, True, 1),
+                       ValueError, "letters must be an int, got True"),
+    "random-seed": (lambda: RandomSpec(3, 2, False),
+                    ValueError, "seed must be an int, got False"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", BOOL_CASES.values(), ids=BOOL_CASES)
+def test_a_bool_is_refused_where_an_int_is_required(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

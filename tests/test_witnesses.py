@@ -2,7 +2,9 @@ import pytest
 
 from dfatoms import (
     WitnessClass,
+    Dfa,
     accepting_sink,
+    atom_complexity_bound,
     bound_for_basis,
     build_table,
     enumerate_atoms,
@@ -18,6 +20,8 @@ from dfatoms import (
     two_sided_ideal_witness,
     witness,
 )
+from dfatoms import atoms
+from dfatoms._orbits import _OrbitCounter
 
 
 def test_regular_witness_transformations():
@@ -176,6 +180,15 @@ def test_witness_at_n10_to_n12_attains_every_bound_and_the_atom_count(kind, n):
     sink = accepting_sink(d) or n
     report = enumerate_atoms(d)
     assert report.count == max_atom_count(kind, n)
+    # ``enumerate_atoms`` takes the orbit route here; the general route
+    # must give the same atoms, so both meet the closed forms below.
+    assert type(atoms._counter(d)) is _OrbitCounter
+    engine = atoms._QuotientEngine(d)
+    general = {
+        frozenset(q for q in range(1, n + 1) if col >> (q - 1) & 1): count
+        for col, count in zip(engine.columns, engine.complexities())
+    }
+    assert general == {info.basis: info.complexity for info in report.atoms}
     maxima = [None] * (n + 1)
     for info in report.atoms:
         assert info.complexity == bound_for_basis(kind, n, info.basis, sink=sink), sorted(
@@ -184,3 +197,38 @@ def test_witness_at_n10_to_n12_attains_every_bound_and_the_atom_count(kind, n):
         size = len(info.basis)
         maxima[size] = max(maxima[size] or 0, info.complexity)
     assert tuple(maxima) == build_table(kind, 12)[n - 1].rows
+
+
+# The paper's table from computation at n = 13..16, past the golden file's
+# n <= 9: the orbit route enumerates each witness in under a second.  The
+# complement's report, which flips every basis, is a second count on it.
+TABLE_CELLS = [
+    pytest.param(
+        kind, n, id=f"{kind.value}-{n}",
+        marks=[pytest.mark.slow] if n == 16 and kind is not WitnessClass.TWO_SIDED_IDEAL else [],
+    )
+    for n in (13, 14, 15, 16)
+    for kind in WitnessClass
+]
+
+
+@pytest.mark.parametrize("kind, n", TABLE_CELLS)
+def test_witness_at_n13_to_n16_attains_the_table_and_its_complement_agrees(kind, n):
+    d = witness(kind, n)
+    sink = accepting_sink(d) or n
+    report = enumerate_atoms(d)
+    assert report.count == max_atom_count(kind, n)
+    maxima = [None] * (n + 1)
+    for info in report.atoms:
+        assert info.complexity == bound_for_basis(kind, n, info.basis, sink=sink), sorted(
+            info.basis
+        )
+        size = len(info.basis)
+        maxima[size] = max(maxima[size] or 0, info.complexity)
+    assert maxima == [atom_complexity_bound(kind, n, size) for size in range(n + 1)]
+    full = frozenset(range(1, n + 1))
+    flipped = enumerate_atoms(Dfa(n, d.alphabet, d.delta, d.initial, full - d.finals))
+    assert flipped.count == report.count
+    assert {(full - info.basis, info.complexity) for info in flipped.atoms} == {
+        (info.basis, info.complexity) for info in report.atoms
+    }
