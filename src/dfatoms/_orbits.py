@@ -31,6 +31,8 @@ from __future__ import annotations
 import itertools
 from math import comb, prod
 
+from .atoms import _QuotientEngine
+
 
 def _symmetric_orbits(dfa) -> list[int] | None:
     """The masks of the state orbits of the group G that the permutation
@@ -80,27 +82,28 @@ def _symmetric_orbits(dfa) -> list[int] | None:
     ]
 
 
-class _OrbitCounter:
-    """Atom complexities of one DFA, with ``_QuotientEngine``'s contract.
+class _OrbitCounter(_QuotientEngine):
+    """The orbit route: ``_QuotientEngine``'s counts, summed over key orbits.
 
     ``orbits`` are the state orbits' masks.  Per letter that is not a
-    permutation, ``letters`` holds its packed-pair map and, per state orbit,
+    permutation, ``spreads`` holds its packed-pair map and, per state orbit,
     its *spreads*: for each count (x, y), one packed pair per way of
     spreading x X-states and y Y-states over the letter's cells, the first
     states of a cell going to X and the next ones to Y.  ``image_orbits``
-    caches the key orbit of an image pair's orbit, ``successors`` each
-    orbit's successor orbits and ``counts`` each start orbit's count.
+    caches the key orbit of an image pair's orbit, the inherited
+    ``successors`` each orbit's successor orbits and ``counts`` each start
+    orbit's count.
     """
 
-    def __init__(self, dfa, engine, orbits: list[int]):
-        n = engine.n
-        self.engine = engine
+    def __init__(self, dfa, orbits: list[int]):
+        super().__init__(dfa)
+        n = self.n
         self.orbits = orbits
         self.sizes = [o.bit_count() for o in orbits]
         orbit_of = [next(i for i, o in enumerate(orbits) if o >> q & 1) for q in range(n)]
-        self.letters = []
+        self.spreads = []
         kinds = set()
-        for letter, (image_of, permutes) in zip(dfa.alphabet, engine.letters):
+        for letter, (image_of, permutes) in zip(dfa.alphabet, self.letters):
             if permutes:
                 continue
             image = [r - 1 for r in dfa.delta[letter].image]
@@ -134,26 +137,26 @@ class _OrbitCounter:
                                 )
                     spread = grown
                 spreads.append(spread)
-            self.letters.append((image_of, spreads))
+            self.spreads.append((image_of, spreads))
         self.image_orbits: dict[tuple, tuple | None] = {}
-        self.successors: dict[tuple, set] = {}
         self.counts: dict[tuple, int] = {}
 
     def signature(self, pair: int) -> tuple:
         """The counts (|X & O|, |Y & O|) of a packed pair per orbit O."""
-        y = pair >> self.engine.n
+        y = pair >> self.n
         return tuple(((pair & o).bit_count(), (y & o).bit_count()) for o in self.orbits)
 
-    def _step(self, orbit: tuple) -> set:
+    def _step(self, orbit: tuple | None, _) -> set:
         """The orbits the letters that are not permutations lead ``orbit`` into.
 
         ``key`` runs once per orbit of image pairs: images in one orbit have
-        keys in one orbit.
+        keys in one orbit.  The empty quotient None leads nowhere new.
         """
-        engine = self.engine
-        n, full = engine.n, engine.full
+        if orbit is None:
+            return set()
+        n, full = self.n, self.full
         found = set()
-        for image_of, spreads in self.letters:
+        for image_of, spreads in self.spreads:
             for parts in itertools.product(*map(dict.__getitem__, spreads, orbit)):
                 image = image_of(sum(parts))
                 if image & full & image >> n:
@@ -161,42 +164,25 @@ class _OrbitCounter:
                     continue
                 sig = self.signature(image)
                 if sig not in self.image_orbits:
-                    key = engine.key(image & full, image >> n)
+                    key = self.key(image & full, image >> n)
                     self.image_orbits[sig] = None if key is None else self.signature(key)
                 found.add(self.image_orbits[sig])
         return found
 
-    def _count(self, start: tuple) -> int:
-        """The total size of the orbits ``start`` reaches, itself included."""
-        count = self.counts.get(start)
+    def _count(self, start: int) -> int:
+        """The total size of the orbits the start key's orbit reaches, itself
+        included, the empty quotient None counted once."""
+        orbit = self.signature(start)
+        count = self.counts.get(orbit)
         if count is None:
-            seen = {start}
-            order = [start]
-            for orbit in order:
-                if orbit is None:
-                    continue
-                successors = self.successors.get(orbit)
-                if successors is None:
-                    self.successors[orbit] = successors = self._step(orbit)
-                for succ in successors - seen:
-                    seen.add(succ)
-                    order.append(succ)
-            count = sum(
-                1 if orbit is None else
-                prod(comb(s, x) * comb(s - x, y) for s, (x, y) in zip(self.sizes, orbit))
-                for orbit in seen
+            self.counts[orbit] = count = sum(
+                1 if reached is None else
+                prod(comb(s, x) * comb(s - x, y) for s, (x, y) in zip(self.sizes, reached))
+                for reached in self._reached(orbit, self._step)
             )
-            self.counts[start] = count
         return count
 
-    def complexity(self, basis_mask: int) -> int:
-        """Number of distinct quotients of the atom, or 0 if it is empty."""
-        engine = self.engine
-        start = engine.key(basis_mask, engine.full ^ basis_mask)
-        return 0 if start is None else self._count(self.signature(start))
-
     def complexities(self) -> list[int]:
-        """The complexity of every atom, in the engine's ``columns`` order."""
-        n, full = self.engine.n, self.engine.full
-        starts = (col | (full ^ col) << n for col in self.engine.columns)
-        return [self._count(self.signature(start)) for start in starts]
+        """The complexity of every atom, in ``columns`` order."""
+        n, full = self.n, self.full
+        return [self._count(col | (full ^ col) << n) for col in self.columns]

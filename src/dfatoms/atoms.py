@@ -36,7 +36,9 @@ gives every atom's complexity as the size of the reach of its start key.
 That is the general route.  When the permutation letters generate exactly
 the product of the full symmetric groups on their state orbits, both count
 the keys by orbits of that group instead: the orbit route, in ``_orbits``,
-never lists the keys.
+never lists the keys.  Its counter subclasses ``_QuotientEngine`` and walks
+orbits with the same memoized search; ``_counter`` keeps the one counter of
+a DFA.
 """
 
 from __future__ import annotations
@@ -157,8 +159,8 @@ def is_atom(dfa: Dfa, basis: Iterable[int]) -> bool:
     column; no pair state is explored.
     """
     mask = _basis_mask(dfa, basis)
-    engine = _engine(dfa)
-    return engine.key(mask, engine.full ^ mask) is not None
+    counter = _counter(dfa)
+    return counter.key(mask, counter.full ^ mask) is not None
 
 
 class _QuotientEngine:
@@ -170,8 +172,8 @@ class _QuotientEngine:
     columns it is incompatible with: those lacking a state of X or containing
     one of Y.  A quotient's key packs its canonical pair (X, Y) as
     ``X | Y << n``; the empty quotient's key is None.
-    ``successors`` memoizes each key's per-letter successor keys, so atoms of
-    the same DFA share the quotients they have in common.
+    ``successors`` memoizes each node's successors for ``_reached``, so
+    atoms of the same DFA share the quotients they have in common.
     """
 
     def __init__(self, dfa: Dfa):
@@ -192,7 +194,7 @@ class _QuotientEngine:
             (image_of, len(set(dfa.delta[letter].image)) == n)
             for letter, image_of in zip(dfa.alphabet, _image_maps(dfa, 2))
         )
-        self.successors: dict[int | None, tuple[int | None, ...]] = {}
+        self.successors: dict = {}
 
     def key(self, x: int, y: int) -> int | None:
         """Key of the quotient recognized at the disjoint pair state (x, y)."""
@@ -239,26 +241,34 @@ class _QuotientEngine:
         return images
 
     def complexity(self, basis_mask: int) -> int:
-        """Number of distinct quotients of the atom, or 0 if it is empty.
-
-        The walk's ``seen`` is the index of ``step``, and the empty quotient
-        is the key None, counted like any other.
-        """
+        """Number of distinct quotients of the atom, or 0 if it is empty."""
         start = self.key(basis_mask, self.full ^ basis_mask)
-        if start is None:
-            return 0
-        memo, step = self.successors, self.step
+        return 0 if start is None else self._count(start)
+
+    def _count(self, start: int) -> int:
+        """The number of keys the start key reaches, the empty quotient None
+        counted like any other."""
+        return len(self._reached(start, self.step))
+
+    def _reached(self, start, step) -> set:
+        """The nodes reachable from ``start``, itself included.
+
+        ``step(node, seen)`` lists a node's successors, ``seen`` holding the
+        nodes found so far; each node's list is memoized in ``successors``
+        across walks, so ``step`` runs once per node of this counter.
+        """
+        memo = self.successors
         seen = {start}
         order = [start]
-        for key in order:
-            successors = memo.get(key)
+        for node in order:
+            successors = memo.get(node)
             if successors is None:
-                memo[key] = successors = tuple(step(key, seen))
+                memo[node] = successors = tuple(step(node, seen))
             for succ in successors:
                 if succ not in seen:
                     seen.add(succ)
                     order.append(succ)
-        return len(seen)
+        return seen
 
     def key_graph(self) -> tuple[list[int | None], list[list[int]]]:
         """Every key reachable from some column's start pair, and its edges.
@@ -347,23 +357,22 @@ def _reach(rows: list[list[int]]) -> tuple[list[int], list[int]]:
 
 
 @functools.lru_cache(maxsize=1)
-def _engine(dfa: Dfa) -> _QuotientEngine:
+def _counter(dfa: Dfa) -> _QuotientEngine:
+    """The one counter of ``dfa``: the orbit route's, a ``_QuotientEngine``
+    subclass, when ``_orbits`` proves it exact, else the general route's;
+    both count alike.  Only a DFA of at most ``SUBSET_OP_LIMIT`` states with
+    a permutation letter that moves a state runs ``_orbits``; a larger one
+    fails in the column closure."""
+    n = dfa.state_count
+    if n <= SUBSET_OP_LIMIT and any(
+        len(set(t.image)) == n and not t.is_identity() for t in dfa.delta.values()
+    ):
+        from ._orbits import _OrbitCounter, _symmetric_orbits
+
+        orbits = _symmetric_orbits(dfa)
+        if orbits is not None:
+            return _OrbitCounter(dfa, orbits)
     return _QuotientEngine(dfa)
-
-
-@functools.lru_cache(maxsize=1)
-def _counter(dfa: Dfa):
-    """The orbit route's counter of ``dfa`` when ``_orbits`` proves it exact,
-    else the general route, ``_engine``; both count alike.  Only a DFA with
-    a permutation letter that moves a state runs ``_orbits``."""
-    engine = _engine(dfa)
-    if not any(permutes and not dfa.delta[letter].is_identity()
-               for letter, (_, permutes) in zip(dfa.alphabet, engine.letters)):
-        return engine
-    from ._orbits import _OrbitCounter, _symmetric_orbits
-
-    orbits = _symmetric_orbits(dfa)
-    return engine if orbits is None else _OrbitCounter(dfa, engine, orbits)
 
 
 def atom_complexity(dfa: Dfa, basis: Iterable[int]) -> int:
@@ -414,10 +423,13 @@ def enumerate_atoms(dfa: Dfa) -> AtomReport:
     minimal = minimize(dfa)
     if minimal.state_count == dfa.state_count:
         minimal = dfa
-    engine = _engine(minimal)
-    counts = _counter(minimal).complexities()
-    infos = sorted(
-        (AtomInfo(_set_of(col), count) for col, count in zip(engine.columns, counts)),
-        key=lambda info: (len(info.basis), sorted(info.basis)),
+    counter = _counter(minimal)
+    n, full = counter.n, counter.full
+    # By size, then by sorted basis: the complement's bits, lowest state
+    # first, order bases of one size as their sorted lists do.
+    pairs = sorted(
+        zip(counter.columns, counter.complexities()),
+        key=lambda pair: (pair[0].bit_count(), f"{full ^ pair[0]:0{n}b}"[::-1]),
     )
-    return AtomReport(minimal.state_count, tuple(infos))
+    infos = tuple(AtomInfo(_set_of(col), count) for col, count in pairs)
+    return AtomReport(minimal.state_count, infos)

@@ -61,6 +61,8 @@ class Transformation(_Frozen):
         return len(self.image)
 
     def __call__(self, state: int) -> int:
+        if not (_is_int(state) and 1 <= state <= len(self.image)):
+            raise InvalidDfaError(f"state {state!r} not within 1..{len(self.image)}")
         return self.image[state - 1]
 
     def is_identity(self) -> bool:
@@ -74,6 +76,9 @@ class Transformation(_Frozen):
     def cycle(cls, n: int, states: Iterable[int]) -> "Transformation":
         """The cyclic permutation (q1,...,qk) acting on 1..n, fixing everything else."""
         cyc = tuple(states)
+        bad = _bad_ids(n, cyc)
+        if bad:
+            raise InvalidDfaError(f"cycle entries {bad} not within 1..{n}")
         if len(set(cyc)) != len(cyc):
             raise InvalidDfaError("cycle entries must be distinct")
         image = list(range(1, n + 1))
@@ -84,6 +89,9 @@ class Transformation(_Frozen):
     @classmethod
     def unitary(cls, n: int, source: int, target: int) -> "Transformation":
         """The map sending ``source`` to ``target`` and fixing everything else."""
+        bad = _bad_ids(n, (source, target))
+        if bad:
+            raise InvalidDfaError(f"states {bad} not within 1..{n}")
         image = list(range(1, n + 1))
         image[source - 1] = target
         return cls(tuple(image))
@@ -247,13 +255,13 @@ def _discover(starts, step, letters: int, cap: int | None = None):
     semigroup (``transition_semigroup``) and the reversal oracle's subset
     automaton (``harness.reversal_quotient_complexity``).
 
-    Four forward searches keep loops of their own.  The column closure
+    Three forward searches keep loops of their own.  The column closure
     (``_column_masks``) runs on every enumeration and atom query, and
     through this loop, building rows it does not need, it took 1.6-2x as
-    long at n = 10-16.  A single atom's quotient walk
-    (``_QuotientEngine.complexity``) shares the key graph's ``step`` but
-    stops at the keys that atom reaches and memoizes successors across
-    atoms; with rows it was about 13 % slower.  The orbit route's search
+    long at n = 10-16.  The one memoized walk of both atom routes
+    (``atoms._QuotientEngine._reached``) stops at the nodes one atom
+    reaches and memoizes successors across atoms; with rows the general
+    route's walk was about 13 % slower, and the orbit route
     (``_orbits._OrbitCounter``) steps one orbit to several orbits under one
     letter, which a row of one successor per letter cannot hold.  The
     monoid oracle (``harness._MonoidDfa``) keeps its own search, which also

@@ -350,6 +350,36 @@ def test_one_pass_does_not_recurse():
         assert count == engine.complexity(col)
 
 
+def test_a_dfa_past_the_limit_is_refused_before_the_orbit_test(monkeypatch):
+    from dfatoms import _orbits
+
+    def refuse(dfa):
+        raise AssertionError("_symmetric_orbits ran")
+
+    monkeypatch.setattr(_orbits, "_symmetric_orbits", refuse)
+    with pytest.raises(LimitExceededError, match=f"^{COLUMN_LIMIT}$"):
+        enumerate_atoms(regular_witness(21))
+
+
+# The random inputs of test_cli_pins.py, which take the general route, and
+# one witness per class, which takes the orbit route.
+REPORT_ORDER_INPUTS = {
+    **{f"random-{seed}": random_dfa(RandomSpec(9, 2 + seed % 2, seed)) for seed in range(1, 11)},
+    **{f"{kind.value}-6": witness(kind, 6) for kind in WitnessClass},
+}
+WITNESSES_AT_6 = [witness(kind, 6) for kind in WitnessClass]
+
+
+@pytest.mark.parametrize("dfa", REPORT_ORDER_INPUTS.values(), ids=REPORT_ORDER_INPUTS)
+def test_atom_report_is_ordered_by_size_then_sorted_basis(dfa):
+    report = enumerate_atoms(dfa)
+    counter = atoms._counter(minimize(dfa))
+    assert (type(counter) is _OrbitCounter) == (dfa in WITNESSES_AT_6)
+    order = [(len(info.basis), sorted(info.basis)) for info in report.atoms]
+    assert all(a < b for a, b in zip(order, order[1:]))
+    assert report.count == len(counter.columns)
+
+
 def test_enumerate_atoms_counts():
     assert enumerate_atoms(left_ideal_witness(4)).count == 9
     assert enumerate_atoms(two_sided_ideal_witness(5)).count == 9

@@ -58,6 +58,8 @@ def commands():
                 add(name, "dot", "--dfa", "<dfa>", "--atom", basis)
     for seed in RANDOM_SEEDS:
         name = f"random-{seed}"
+        add(name, "atoms", "--dfa", "<dfa>")
+        add(name, "atoms", "--dfa", "<dfa>", "--report", "tsv")
         for kind in ("right", "left", "two-sided"):
             add(name, "idealize", "--dfa", "<dfa>", "--kind", kind)
         add(name, "check-ideal", "--dfa", "<dfa>")

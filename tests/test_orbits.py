@@ -44,7 +44,7 @@ def with_letters(n, *perms):
 def orbit_counter(dfa):
     orbits = _symmetric_orbits(dfa)
     assert orbits is not None
-    return _OrbitCounter(dfa, atoms._QuotientEngine(dfa), orbits)
+    return _OrbitCounter(dfa, orbits)
 
 
 def masks(*orbits):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dfatoms import InvalidDfaError, SizeMismatchError, Transformation, compose
+from dfatoms import InvalidDfaError, SizeMismatchError, Transformation, compose, regular_witness
 
 
 def test_identity_fixes_everything():
@@ -25,6 +25,43 @@ def test_unitary_and_constant():
 def test_cycle_rejects_repeats():
     with pytest.raises(InvalidDfaError):
         Transformation.cycle(3, (1, 1))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Transformation.unitary(3, 0, 1),
+        lambda: Transformation.unitary(3, -1, 1),
+        lambda: Transformation.unitary(3, True, 2),
+        lambda: Transformation.unitary(3, 4, 1),
+        lambda: Transformation.cycle(3, (4,)),
+        lambda: Transformation.cycle(3, (1.0, 2)),
+    ],
+    ids=["unitary-0", "unitary-negative", "unitary-bool", "unitary-past-n", "cycle-past-n",
+         "cycle-float"],
+)
+def test_constructors_refuse_bad_state_ids(make):
+    with pytest.raises(InvalidDfaError):
+        make()
+
+
+@pytest.mark.parametrize("state", [0, -1, 4, True, 1.0, "1", None])
+def test_applying_refuses_bad_state_ids(state):
+    t = Transformation((2, 3, 1))
+    with pytest.raises(InvalidDfaError):
+        t(state)
+    with pytest.raises(InvalidDfaError):
+        regular_witness(3).step(state, "a")
+
+
+def test_valid_state_ids_apply_as_before():
+    t = Transformation((2, 3, 1))
+    assert [t(q) for q in (1, 2, 3)] == [2, 3, 1]
+    assert Transformation.unitary(3, 1, 3).image == (3, 2, 3)
+    assert Transformation.cycle(3, ()).image == (1, 2, 3)
+    d = regular_witness(3)
+    assert [d.step(q, "a") for q in (1, 2, 3)] == [d.delta["a"].image[q - 1] for q in (1, 2, 3)]
+    assert d.accepts("ab") == (d.step(d.step(1, "a"), "b") in d.finals)
 
 
 def test_image_entries_validated():
