@@ -360,13 +360,20 @@ def _reach(rows: list[list[int]]) -> tuple[list[int], list[int]]:
 def _counter(dfa: Dfa) -> _QuotientEngine:
     """The one counter of ``dfa``: the orbit route's, a ``_QuotientEngine``
     subclass, when ``_orbits`` proves it exact, else the general route's;
-    both count alike.  Only a DFA of at most ``SUBSET_OP_LIMIT`` states with
-    a permutation letter that moves a state runs ``_orbits``; a larger one
-    fails in the column closure."""
+    both count alike.  Only a DFA of at most ``SUBSET_OP_LIMIT`` states runs
+    ``_orbits`` (a larger one fails in the column closure), and only when
+    its permutation letters that move a state have two or more images, or
+    one that swaps two states.  One image g alone generates the cyclic
+    group <g>, of order the lcm of g's cycle lengths, which equals the
+    product of their factorials, the order of the symmetric product the
+    route needs, only for a single transposition: ``_orbits`` would refuse."""
     n = dfa.state_count
-    if n <= SUBSET_OP_LIMIT and any(
-        len(set(t.image)) == n and not t.is_identity() for t in dfa.delta.values()
-    ):
+    moving = {
+        t.image for t in dfa.delta.values() if len(set(t.image)) == n and not t.is_identity()
+    }
+    if n <= SUBSET_OP_LIMIT and (len(moving) > 1 or any(
+        sum(q != p for p, q in enumerate(g, 1)) == 2 for g in moving
+    )):
         from ._orbits import _OrbitCounter, _symmetric_orbits
 
         orbits = _symmetric_orbits(dfa)

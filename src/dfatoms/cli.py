@@ -3,12 +3,17 @@
 Subcommands: witness, atoms, bounds, table, check-ideal, idealize,
 crosscheck, dot.  Exit code 0 on success, 1 on domain errors, 2 on usage
 errors.  All output is deterministic given the flags.
+
+Each subcommand's options are written once, in ``_COMMANDS``.  A
+well-formed command line is read from that table without argparse;
+``--help``, usage errors and every other form go to the argparse parser
+built from the same table, which writes all help and error text.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 # The package registers its submodules lazily: binding them here runs none
 # of them, and each runs on a subcommand's first call into it, so a process
@@ -46,13 +51,13 @@ def _format_basis(basis: frozenset[int]) -> str:
     return "{" + ",".join(str(q) for q in sorted(basis)) + "}"
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
+def _cmd_witness(args: SimpleNamespace) -> int:
     automaton = witnesses.witness(witnesses.WitnessClass(args.cls), args.n)
     _write(dfaformat.render_dfa(automaton), args.out)
     return 0
 
 
-def _cmd_atoms(args: argparse.Namespace) -> int:
+def _cmd_atoms(args: SimpleNamespace) -> int:
     minimal = dfa.minimize(_load_dfa(args.dfa))
     if args.basis is not None and args.basis != "-":
         basis = _parse_basis(args.basis)
@@ -76,7 +81,7 @@ def _cmd_atoms(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
+def _cmd_bounds(args: SimpleNamespace) -> int:
     kind = witnesses.WitnessClass(args.cls)
     count = bounds.max_atom_count(kind, args.n)
     values = [bounds.atom_complexity_bound(kind, args.n, s) for s in range(args.n + 1)]
@@ -93,7 +98,7 @@ def _ratio_cell(ratio: float | None) -> str:
     return "-" if ratio is None else f"{ratio:.2f}"
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: SimpleNamespace) -> int:
     n_max = args.max_n
     if args.compare:
         kinds = [
@@ -130,7 +135,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check_ideal(args: argparse.Namespace) -> int:
+def _cmd_check_ideal(args: SimpleNamespace) -> int:
     automaton = _load_dfa(args.dfa)
     right = ideals.is_right_ideal(automaton)
     left = ideals.is_left_ideal(automaton)
@@ -140,7 +145,7 @@ def _cmd_check_ideal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_idealize(args: argparse.Namespace) -> int:
+def _cmd_idealize(args: SimpleNamespace) -> int:
     closed = ideals.idealize(_load_dfa(args.dfa), witnesses.WitnessClass(args.kind))
     _write(dfaformat.render_dfa(closed), args.out)
     return 0
@@ -151,13 +156,17 @@ def _count(arg: str) -> int:
     try:
         value = int(arg)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {arg!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+        value = None
+    if value is not None and value >= 0:
+        return value
+    import argparse
+
+    raise argparse.ArgumentTypeError(
+        f"invalid int value: {arg!r}" if value is None else f"must be at least 0, got {value}"
+    )
 
 
-def _cmd_crosscheck(args: argparse.Namespace) -> int:
+def _cmd_crosscheck(args: SimpleNamespace) -> int:
     failures = 0
     for i in range(args.samples):
         seed = args.seed + i
@@ -171,7 +180,7 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_dot(args: argparse.Namespace) -> int:
+def _cmd_dot(args: SimpleNamespace) -> int:
     automaton = _load_dfa(args.dfa)
     if args.atom is not None:
         basis = _parse_basis(args.atom)
@@ -196,70 +205,113 @@ def _class_names(*, ideals_only: bool = False) -> list[str]:
     ]
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand.  Each is listed, but only the one named
-    ``command`` gets its arguments, or every one when ``command`` is None."""
+# Each subcommand's help, handler and options, in the order ``--help`` lists
+# them.  An option is its flag and the keywords ``add_argument`` takes, but
+# ``choices`` may be a function, called only when its subcommand is parsed.
+_COMMANDS = {
+    "witness": ("emit a witness DFA", _cmd_witness, (
+        ("--class", {"dest": "cls", "required": True, "choices": _class_names}),
+        ("--n", {"type": int, "required": True}),
+        ("--out", {}),
+    )),
+    "atoms": ("atom report for a DFA file", _cmd_atoms, (
+        ("--dfa", {"required": True}),
+        ("--basis", {"help": "comma-separated ids, '{}' for empty, '-' for all"}),
+        ("--report", {"choices": ["tsv", "text"], "default": "text"}),
+    )),
+    "bounds": ("per-size complexity bounds for one class", _cmd_bounds, (
+        ("--class", {"dest": "cls", "required": True, "choices": _class_names}),
+        ("--n", {"type": int, "required": True}),
+    )),
+    "table": ("bound tables as TSV", _cmd_table, (
+        ("--class", {"dest": "cls", "choices": _class_names}),
+        ("--compare", {"action": "store_true", "default": False,
+                       "help": "three-way two-sided/left/regular table"}),
+        ("--max-n", {"dest": "max_n", "type": int, "required": True}),
+    )),
+    "check-ideal": ("test ideal membership of a DFA file", _cmd_check_ideal, (
+        ("--dfa", {"required": True}),
+    )),
+    "idealize": ("close a DFA's language into an ideal", _cmd_idealize, (
+        ("--dfa", {"required": True}),
+        ("--kind", {"required": True, "choices": lambda: _class_names(ideals_only=True)}),
+        ("--out", {}),
+    )),
+    "crosscheck": ("randomized oracle agreement run", _cmd_crosscheck, (
+        ("--n", {"type": int, "required": True}),
+        ("--letters", {"type": int, "required": True}),
+        ("--samples", {"type": _count, "required": True}),
+        ("--seed", {"type": int, "required": True}),
+    )),
+    "dot": ("Graphviz export of a DFA or one of its atoms", _cmd_dot, (
+        ("--dfa", {"required": True}),
+        ("--atom", {"help": "basis of the atom DFA to draw"}),
+    )),
+}
+
+
+def _keywords(spec: dict) -> dict:
+    """``add_argument``'s keywords for an option of the table."""
+    choices = spec.get("choices")
+    return dict(spec, choices=choices()) if callable(choices) else spec
+
+
+def build_parser(command: str | None = None):
+    """The argparse parser of every subcommand.  Each is listed, but only the
+    one named ``command`` gets its arguments, or every one when ``command``
+    is None."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dfatoms",
         description="Atoms of regular languages: witnesses, bounds, checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("witness", help="emit a witness DFA")
-    if command in (None, "witness"):
-        p.add_argument("--class", dest="cls", required=True, choices=_class_names())
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_witness)
-
-    p = sub.add_parser("atoms", help="atom report for a DFA file")
-    if command in (None, "atoms"):
-        p.add_argument("--dfa", required=True)
-        p.add_argument("--basis", help="comma-separated ids, '{}' for empty, '-' for all")
-        p.add_argument("--report", choices=["tsv", "text"], default="text")
-        p.set_defaults(func=_cmd_atoms)
-
-    p = sub.add_parser("bounds", help="per-size complexity bounds for one class")
-    if command in (None, "bounds"):
-        p.add_argument("--class", dest="cls", required=True, choices=_class_names())
-        p.add_argument("--n", type=int, required=True)
-        p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("table", help="bound tables as TSV")
-    if command in (None, "table"):
-        p.add_argument("--class", dest="cls", choices=_class_names())
-        p.add_argument("--compare", action="store_true",
-                       help="three-way two-sided/left/regular table")
-        p.add_argument("--max-n", dest="max_n", type=int, required=True)
-        p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("check-ideal", help="test ideal membership of a DFA file")
-    if command in (None, "check-ideal"):
-        p.add_argument("--dfa", required=True)
-        p.set_defaults(func=_cmd_check_ideal)
-
-    p = sub.add_parser("idealize", help="close a DFA's language into an ideal")
-    if command in (None, "idealize"):
-        p.add_argument("--dfa", required=True)
-        p.add_argument("--kind", required=True, choices=_class_names(ideals_only=True))
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_idealize)
-
-    p = sub.add_parser("crosscheck", help="randomized oracle agreement run")
-    if command in (None, "crosscheck"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--letters", type=int, required=True)
-        p.add_argument("--samples", type=_count, required=True)
-        p.add_argument("--seed", type=int, required=True)
-        p.set_defaults(func=_cmd_crosscheck)
-
-    p = sub.add_parser("dot", help="Graphviz export of a DFA or one of its atoms")
-    if command in (None, "dot"):
-        p.add_argument("--dfa", required=True)
-        p.add_argument("--atom", help="basis of the atom DFA to draw")
-        p.set_defaults(func=_cmd_dot)
-
+    for name, (summary, func, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if command in (None, name):
+            for flag, spec in options:
+                p.add_argument(flag, **_keywords(spec))
+            p.set_defaults(func=func)
     return parser
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """What argparse makes of a well-formed ``argv``, read from the table;
+    None for any other.  Well-formed is a subcommand, then its options by
+    their exact flags, each at most once and every required one given: a
+    store-true flag alone, any other followed by a value of its type and
+    choices that does not start with "-" (argparse might read an option)."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[argv[0]]
+    specs = dict(options)
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = specs.get(flag)
+        if spec is None or flag in given:
+            return None
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except Exception:  # argparse words the error
+            return None
+        choices = _keywords(spec).get("choices")
+        if choices is not None and value not in choices:
+            return None
+        given[flag] = value
+    args = SimpleNamespace(command=argv[0], func=func)
+    for flag, spec in options:
+        if flag not in given and spec.get("required"):
+            return None
+        setattr(args, spec.get("dest", flag[2:]), given.get(flag, spec.get("default")))
+    return args
 
 
 def _named_subcommand(argv: list[str]) -> str:
@@ -271,7 +323,9 @@ def _named_subcommand(argv: list[str]) -> str:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(_named_subcommand(argv)).parse_args(argv)
+    args = _parse(argv)
+    if args is None:
+        args = build_parser(_named_subcommand(argv)).parse_args(argv, SimpleNamespace())
     try:
         return args.func(args)
     except (DfatomsError, ValueError, OSError) as error:

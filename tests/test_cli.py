@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dfatoms import atoms, parse_dfa, render_dfa, two_sided_ideal_witness, witness, WitnessClass
-from dfatoms.cli import _named_subcommand, build_parser, main
+from dfatoms.cli import _COMMANDS, _keywords, _named_subcommand, _parse, build_parser, main
+from test_cli_pins import commands as pinned_commands
 
 
 def run(capsys, *argv):
@@ -232,28 +235,124 @@ def parse_outcome(capsys, parser, argv):
     return code, out, err, namespace
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--help"], [], ["nope"], ["-h", "atoms"], ["--bogus", "atoms", "--dfa", "x"],
-        *([name, "--help"] for name in SUBCOMMANDS),
-        ["witness", "--class", "nonsense", "--n", "3"],
-        ["atoms"],
-        ["dot", "--dfa", "x", "extra"],
-        [*CROSSCHECK, "-1"],
-        ["witness", "--class", "left", "--n", "3"],
-        ["atoms", "--dfa", "x", "--basis", "1,2", "--report", "tsv"],
-        ["bounds", "--class", "two-sided", "--n", "4"],
-        ["table", "--compare", "--max-n", "5"],
-        ["check-ideal", "--dfa", "x"],
-        ["idealize", "--dfa", "x", "--kind", "right", "--out", "y"],
-        [*CROSSCHECK, "2"],
-        ["dot", "--dfa", "x", "--atom", "{}"],
-    ],
-)
+# Help, usage errors and one valid command line of each subcommand.
+PARSER_CORPUS = [
+    ["--help"], [], ["nope"], ["-h", "atoms"], ["--bogus", "atoms", "--dfa", "x"],
+    *([name, "--help"] for name in SUBCOMMANDS),
+    ["witness", "--class", "nonsense", "--n", "3"],
+    ["atoms"],
+    ["dot", "--dfa", "x", "extra"],
+    [*CROSSCHECK, "-1"],
+    ["witness", "--class", "left", "--n", "3"],
+    ["atoms", "--dfa", "x", "--basis", "1,2", "--report", "tsv"],
+    ["bounds", "--class", "two-sided", "--n", "4"],
+    ["table", "--compare", "--max-n", "5"],
+    ["check-ideal", "--dfa", "x"],
+    ["idealize", "--dfa", "x", "--kind", "right", "--out", "y"],
+    [*CROSSCHECK, "2"],
+    ["dot", "--dfa", "x", "--atom", "{}"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS)
 def test_parser_of_the_named_subcommand_says_what_the_full_parser_says(
     capsys, monkeypatch, argv
 ):
     monkeypatch.setenv("COLUMNS", "80")
     full = parse_outcome(capsys, build_parser(), argv)
     assert parse_outcome(capsys, build_parser(_named_subcommand(argv)), argv) == full
+
+
+# The command lines of the benchmark's operations, one of each shape; its
+# start-up probe, ``--help``, is in PARSER_CORPUS.
+BENCHMARK_ARGVS = [
+    ["witness", "--class", "regular", "--n", "10", "--out", "w.dfa"],
+    ["atoms", "--dfa", "w.dfa"],
+    ["atoms", "--dfa", "w.dfa", "--basis", "1,4,7"],
+    ["atoms", "--dfa", "w.dfa", "--basis", "{}"],
+    ["crosscheck", "--n", "6", "--letters", "3", "--samples", "3", "--seed", "7"],
+    ["idealize", "--dfa", "w.dfa", "--kind", "two-sided"],
+    ["check-ideal", "--dfa", "w.dfa"],
+]
+PINNED_ARGVS = [
+    [arg.replace("<dfa>", "p.dfa") for arg in argv] for _, _, argv in pinned_commands()
+]
+
+
+def assert_parsers_agree(argv):
+    """The table's parser reads ``argv`` as argparse does, or leaves it to it."""
+    args = _parse(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv)), argv
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS)
+def test_the_table_parser_reads_argv_as_argparse_does(argv):
+    assert_parsers_agree(argv)
+
+
+def test_the_table_parser_reads_every_benchmark_and_pinned_command_line():
+    for argv in BENCHMARK_ARGVS + PINNED_ARGVS:
+        assert _parse(argv) is not None, argv
+        assert_parsers_agree(argv)
+
+
+FLAGS = sorted({flag for _, _, options in _COMMANDS.values() for flag, _ in options})
+VALUES = st.one_of(
+    st.sampled_from(["-", "-h", "--", "--dfa", "-1"]),
+    st.sampled_from([
+        "{}", "x", "1,2", "3.5", "nonsense", "regular", "right", "left", "two-sided", "tsv",
+        "text",
+    ]),
+    st.integers(-3, 12).map(str),
+)
+NOISE = st.one_of(
+    st.sampled_from(["-h", "--help", "--", *SUBCOMMANDS, *FLAGS]),
+    st.sampled_from(FLAGS).map(lambda flag: flag[:4]),
+    st.tuples(st.sampled_from(FLAGS), VALUES).map("=".join),
+    VALUES,
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A well-formed command line, or one with up to two changes: an option
+    dropped, repeated, abbreviated or given a value of another type or
+    choice, or a noise token (help, an abbreviation, ``--flag=value``, a
+    stray value) put in."""
+    command = draw(st.sampled_from(SUBCOMMANDS))
+    groups = []
+    for flag, spec in _COMMANDS[command][2]:
+        choices = _keywords(spec).get("choices")
+        fitting = st.sampled_from(choices) if choices else st.integers(0, 9).map(str)
+        if spec.get("required") or draw(st.booleans()):
+            groups.append([flag] if spec.get("action") == "store_true" else [flag, draw(fitting)])
+    groups = draw(st.permutations(groups))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(groups)))
+        change = draw(st.sampled_from(["noise", "drop", "repeat", "abbreviate", "value"]))
+        if change == "noise":
+            groups.insert(at, [draw(NOISE)])
+        elif at < len(groups):
+            group = groups.pop(at)
+            flag = group[0]
+            if change == "repeat":
+                groups[at:at] = [group, [flag, draw(VALUES)]]
+            elif change == "value":
+                groups.insert(at, [flag, draw(VALUES)])
+            elif change == "abbreviate":  # to its first letter or two
+                groups.insert(at, [flag[:draw(st.sampled_from([3, 4]))], *group[1:]])
+    return [command, *(token for group in groups for token in group)]
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(command_lines())
+# Forms a parser that reads flags and values naively gets wrong: a value
+# argparse reads as an option, an ambiguous abbreviation, a store-true flag
+# given a value, a repeated option.
+@example(["atoms", "--dfa", "-h"])
+@example(["table", "--c", "left", "--max-n", "3"])
+@example(["table", "--compare", "3", "--max-n", "3"])
+@example(["witness", "--class", "left", "--class", "right", "--n", "3"])
+def test_the_table_parser_agrees_with_argparse_on_any_tokens(argv):
+    assert_parsers_agree(argv)

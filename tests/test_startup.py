@@ -77,7 +77,8 @@ def test_bare_import_registers_every_submodule_and_runs_none():
 
 
 # Runs ``cli.main`` on its command-line arguments in a fresh process and
-# prints its exit code and which submodules have executed.
+# prints its exit code, which submodules have executed and whether argparse
+# and gettext have been imported.
 CLI_PROBE = """
 import contextlib, io, json, sys, types
 from dfatoms import cli
@@ -89,7 +90,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(json.dumps([code, sorted(
     name.split(".")[1] for name, module in sys.modules.items()
     if name.startswith("dfatoms.") and type(module) is types.ModuleType
-)]))
+), [name in sys.modules for name in ("argparse", "gettext")]]))
 """
 EVERY_SUBMODULE = set(SUBMODULES)
 
@@ -117,12 +118,17 @@ EVERY_SUBMODULE = set(SUBMODULES)
          {"atoms", "harness", "bounds"}),
         (["crosscheck", "--n", "3", "--letters", "2", "--samples", "2", "--seed", "1"], 0,
          {"harness", "atoms", "dfa"}, {"bounds", "ideals", "witnesses", "dfaformat"}),
+        # The minimal DFA's one moving permutation letter is (1 3)(2 5 4):
+        # its cyclic group is no symmetric product, so the orbit route is
+        # not tried.
+        (["crosscheck", "--n", "6", "--letters", "3", "--samples", "1", "--seed", "7"], 0,
+         {"harness", "atoms", "dfa"}, {"_orbits", "bounds", "ideals", "witnesses", "dfaformat"}),
         (["dot", "--dfa", "{dfa}"], 0, {"dfaformat", "dfa"},
          {"atoms", "harness", "bounds", "ideals", "witnesses"}),
     ],
     ids=[
         "help", "usage-error", "witness", "atoms", "atoms-basis", "bounds", "table", "check-ideal",
-        "idealize", "crosscheck", "dot",
+        "idealize", "crosscheck", "crosscheck-cyclic", "dot",
     ],
 )
 def test_cli_executes_only_the_modules_its_subcommand_calls(
@@ -133,10 +139,13 @@ def test_cli_executes_only_the_modules_its_subcommand_calls(
     random_path = tmp_path / "random.dfa"
     random_path.write_text(render_dfa(minimize(random_dfa(RandomSpec(6, 3, 1)))))
     argv = [arg.format(dfa=path, random=random_path) for arg in argv]
-    exit_code, executed = json.loads(run_python("-c", CLI_PROBE, *argv).stdout)
+    exit_code, executed, imported = json.loads(run_python("-c", CLI_PROBE, *argv).stdout)
     assert exit_code == code
     assert called <= set(executed)
     assert not skipped & set(executed)
+    # Only help and usage errors are read by argparse.
+    by_argparse = argv[0].startswith("-") or code == 2
+    assert imported == [by_argparse, by_argparse]
 
 
 def test_cli_module_run_emits_no_warning():
