@@ -1,11 +1,11 @@
 """The orbit route: atom complexities counted over orbits of quotient keys.
 
 Let G be the group the permutation letters of a DFA generate.  When G is the
-product of the full symmetric groups on its state orbits (``_symmetric_orbits``
-proves it), the G-orbit of a disjoint pair (X, Y) is named by its
-*signature*, the counts (|X & O|, |Y & O|) on each state orbit O, and it
-holds the product over O of C(|O|, x) * C(|O| - x, y) pairs.  Counting by
-orbits is then exact:
+product of the full symmetric groups on its state orbits, and not trivial
+(``atoms._symmetric_orbits`` proves it), the G-orbit of a disjoint pair
+(X, Y) is named by its *signature*, the counts (|X & O|, |Y & O|) on each
+state orbit O, and it holds the product over O of C(|O|, x) * C(|O| - x, y)
+pairs.  Counting by orbits is then exact:
 
 - ``key`` commutes with G (``_QuotientEngine.step`` says why), so a key's
   orbit is a set of keys of one complexity.
@@ -32,54 +32,6 @@ import itertools
 from math import comb, prod
 
 from .atoms import _QuotientEngine
-
-
-def _symmetric_orbits(dfa) -> list[int] | None:
-    """The masks of the state orbits of the group G that the permutation
-    letters generate, smallest state first, when G is the product of the
-    full symmetric groups on them; None otherwise.
-
-    G lies in that product.  It holds Sym(O) when it holds a transposition
-    (p q) inside O whose conjugates connect O: the edges {g(p), g(q)} for g
-    in G are transpositions of G, and transpositions whose edges connect O
-    generate Sym(O).  The parts the edges connect are the finest partition
-    that G keeps and that joins p and q, found by joining the images of
-    each pair joined.  If G holds Sym(O), every transposition's conjugates
-    connect O, so the first one found decides.  It is looked for among the
-    letters, then among products of two letters or their inverses (the right
-    ideal witness's is a b^-1).  A refusal is safe: the general route runs.
-    """
-    n = dfa.state_count
-    perms = [t for t in (tuple(q - 1 for q in dfa.delta[a].image) for a in dfa.alphabet)
-             if len(set(t)) == n]
-
-    def parts(pairs, images):
-        """Labels of the parts that joining ``pairs``, and the ``images`` of
-        each pair joined, makes."""
-        label = list(range(n))
-        for p, q in pairs:  # grows as it goes
-            if label[p] != label[q]:
-                label = [label[p] if c == label[q] else c for c in label]
-                pairs += [(t[p], t[q]) for t in images]
-        return label
-
-    orbit = parts([(q, t[q]) for t in perms for q in range(n)], [])
-    unproved = {o for o in orbit if orbit.count(o) > 1}
-    both = perms + [tuple(sorted(range(n), key=t.__getitem__)) for t in perms]
-    products = (tuple(t[s[q]] for q in range(n)) for s in both for t in both)
-    for g in itertools.chain(perms, products):
-        if not unproved:
-            break
-        moved = [q for q in range(n) if g[q] != q]
-        if len(moved) != 2 or orbit[moved[0]] not in unproved:
-            continue
-        unproved.remove(orbit[moved[0]])
-        label = parts([moved], perms)
-        if label.count(label[moved[0]]) < orbit.count(orbit[moved[0]]):
-            return None
-    return None if unproved else [
-        sum(1 << q for q in range(n) if orbit[q] == o) for o in dict.fromkeys(orbit)
-    ]
 
 
 class _OrbitCounter(_QuotientEngine):

@@ -34,16 +34,17 @@ own keys plus its successors' reach, so one pass in Tarjan's emission order
 gives every atom's complexity as the size of the reach of its start key.
 
 That is the general route.  When the permutation letters generate exactly
-the product of the full symmetric groups on their state orbits, both count
-the keys by orbits of that group instead: the orbit route, in ``_orbits``,
-never lists the keys.  Its counter subclasses ``_QuotientEngine`` and walks
-orbits with the same memoized search; ``_counter`` keeps the one counter of
-a DFA.
+the product of the full symmetric groups on their state orbits, not all of
+them single states (``_symmetric_orbits`` tests it), both count the keys by
+orbits of that group instead: the orbit route, in ``_orbits``, never lists
+the keys.  Its counter subclasses ``_QuotientEngine`` and walks orbits with
+the same memoized search; ``_counter`` keeps the one counter of a DFA.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Container, Iterable, Sequence
 
 from ._values import _Frozen, _basis_members
@@ -356,30 +357,69 @@ def _reach(rows: list[list[int]]) -> tuple[list[int], list[int]]:
     return component, reach
 
 
+def _symmetric_orbits(dfa) -> list[int] | None:
+    """The masks of the state orbits of the group G that the permutation
+    letters generate, smallest state first, when G is the product of the
+    full symmetric groups on them and some orbit has two or more states;
+    None otherwise, the trivial group included: it has nothing to count by.
+
+    G lies in that product.  It holds Sym(O) when it holds a transposition
+    (p q) inside O whose conjugates connect O: the edges {g(p), g(q)} for g
+    in G are transpositions of G, and transpositions whose edges connect O
+    generate Sym(O).  The parts the edges connect are the finest partition
+    that G keeps and that joins p and q, found by joining the images of
+    each pair joined.  If G holds Sym(O), every transposition's conjugates
+    connect O, so the first one found decides.  It is looked for among the
+    letters, then among products of two letters or their inverses (the right
+    ideal witness's is a b^-1).  A refusal is safe: the general route runs.
+    """
+    n = dfa.state_count
+    perms = [t for t in (tuple(q - 1 for q in dfa.delta[a].image) for a in dfa.alphabet)
+             if len(set(t)) == n]
+
+    def parts(pairs, images):
+        """Labels of the parts that joining ``pairs``, and the ``images`` of
+        each pair joined, makes."""
+        label = list(range(n))
+        for p, q in pairs:  # grows as it goes
+            if label[p] != label[q]:
+                label = [label[p] if c == label[q] else c for c in label]
+                pairs += [(t[p], t[q]) for t in images]
+        return label
+
+    orbit = parts([(q, t[q]) for t in perms for q in range(n)], [])
+    unproved = {o for o in orbit if orbit.count(o) > 1}
+    if not unproved:
+        return None
+    both = perms + [tuple(sorted(range(n), key=t.__getitem__)) for t in perms]
+    products = (tuple(t[s[q]] for q in range(n)) for s in both for t in both)
+    for g in itertools.chain(perms, products):
+        if not unproved:
+            break
+        moved = [q for q in range(n) if g[q] != q]
+        if len(moved) != 2 or orbit[moved[0]] not in unproved:
+            continue
+        unproved.remove(orbit[moved[0]])
+        label = parts([moved], perms)
+        if label.count(label[moved[0]]) < orbit.count(orbit[moved[0]]):
+            return None
+    return None if unproved else [
+        sum(1 << q for q in range(n) if orbit[q] == o) for o in dict.fromkeys(orbit)
+    ]
+
+
 @functools.lru_cache(maxsize=1)
 def _counter(dfa: Dfa) -> _QuotientEngine:
     """The one counter of ``dfa``: the orbit route's, a ``_QuotientEngine``
-    subclass, when ``_orbits`` proves it exact, else the general route's;
-    both count alike.  Only a DFA of at most ``SUBSET_OP_LIMIT`` states runs
-    ``_orbits`` (a larger one fails in the column closure), and only when
-    its permutation letters that move a state have two or more images, or
-    one that swaps two states.  One image g alone generates the cyclic
-    group <g>, of order the lcm of g's cycle lengths, which equals the
-    product of their factorials, the order of the symmetric product the
-    route needs, only for a single transposition: ``_orbits`` would refuse."""
-    n = dfa.state_count
-    moving = {
-        t.image for t in dfa.delta.values() if len(set(t.image)) == n and not t.is_identity()
-    }
-    if n <= SUBSET_OP_LIMIT and (len(moving) > 1 or any(
-        sum(q != p for p, q in enumerate(g, 1)) == 2 for g in moving
-    )):
-        from ._orbits import _OrbitCounter, _symmetric_orbits
+    subclass, when ``_symmetric_orbits`` admits it, else the general
+    route's; both count alike.  A DFA of more than ``SUBSET_OP_LIMIT``
+    states is not tested: it fails in the column closure."""
+    orbits = _symmetric_orbits(dfa) if dfa.state_count <= SUBSET_OP_LIMIT else None
+    if orbits is None:
+        return _QuotientEngine(dfa)
+    from ._orbits import _OrbitCounter
 
-        orbits = _symmetric_orbits(dfa)
-        if orbits is not None:
-            return _OrbitCounter(dfa, orbits)
-    return _QuotientEngine(dfa)
+    return _OrbitCounter(dfa, orbits)
 
 
 def atom_complexity(dfa: Dfa, basis: Iterable[int]) -> int:

@@ -136,12 +136,18 @@ def render_dfa(dfa: Dfa) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dot_string(text: str) -> str:
+    """``text`` as a DOT quoted string."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def dfa_to_dot(dfa: Dfa, labels: Sequence[str] | None = None) -> str:
     """Graphviz digraph text for a DFA.
 
     ``labels`` optionally replaces the displayed name of each state (index
     i-1 labels state i).  Edges between the same pair of states are merged
-    into one arrow listing the letters.
+    into one arrow listing the letters.  Labels and letters are quoted, with
+    ``\\`` and ``"`` escaped.
     """
     if labels is not None and len(labels) != dfa.state_count:
         raise ValueError("labels must name every state")
@@ -150,7 +156,7 @@ def dfa_to_dot(dfa: Dfa, labels: Sequence[str] | None = None) -> str:
     for q in range(1, dfa.state_count + 1):
         attrs = []
         if labels is not None:
-            attrs.append(f'label="{labels[q - 1]}"')
+            attrs.append(f"label={_dot_string(labels[q - 1])}")
         if q in dfa.finals:
             attrs.append("shape=doublecircle")
         if attrs:
@@ -162,6 +168,6 @@ def dfa_to_dot(dfa: Dfa, labels: Sequence[str] | None = None) -> str:
         for q in range(1, dfa.state_count + 1):
             edges.setdefault((q, t(q)), []).append(letter)
     for (source, target), letters in sorted(edges.items()):
-        out.append(f'  {source} -> {target} [label="{",".join(letters)}"];')
+        out.append(f"  {source} -> {target} [label={_dot_string(','.join(letters))}];")
     out.append("}")
     return "\n".join(out) + "\n"

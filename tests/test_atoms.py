@@ -351,12 +351,10 @@ def test_one_pass_does_not_recurse():
 
 
 def test_a_dfa_past_the_limit_is_refused_before_the_orbit_test(monkeypatch):
-    from dfatoms import _orbits
-
     def refuse(dfa):
         raise AssertionError("_symmetric_orbits ran")
 
-    monkeypatch.setattr(_orbits, "_symmetric_orbits", refuse)
+    monkeypatch.setattr(atoms, "_symmetric_orbits", refuse)
     with pytest.raises(LimitExceededError, match=f"^{COLUMN_LIMIT}$"):
         enumerate_atoms(regular_witness(21))
 

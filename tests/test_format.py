@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,6 +177,20 @@ def test_dot_with_labels():
     assert 'label="0"' in dot
     with pytest.raises(ValueError):
         dfa_to_dot(atom_dfa, ["just one"])
+
+
+def test_dot_escapes_quotes_and_backslashes_in_labels_and_letters():
+    # A letter may hold any character but whitespace and '#'.
+    d = parse_dfa('dfa v1\nstates 2\nalphabet a"b c\\d\ninitial 1\nfinal 2\n'
+                  'trans a"b 2 1\ntrans c\\d 2 2\n')
+    dot = dfa_to_dot(d, ['say "hi"', "back\\slash"])
+    assert '  1 [label="say \\"hi\\""];' in dot
+    assert '  2 [label="back\\\\slash", shape=doublecircle];' in dot
+    assert '  1 -> 2 [label="a\\"b,c\\\\d"];' in dot
+    assert '  2 -> 1 [label="a\\"b"];' in dot
+    assert '  2 -> 2 [label="c\\\\d"];' in dot
+    # Every quoted string closes on its line once escapes are dropped.
+    assert all(re.sub(r"\\.", "", line).count('"') % 2 == 0 for line in dot.splitlines())
 
 
 def test_render_with_empty_finals_round_trips():

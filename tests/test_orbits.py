@@ -17,12 +17,14 @@ from dfatoms import (
     Transformation,
     WitnessClass,
     atom_complexity,
+    minimize,
     random_dfa,
     regular_witness,
     witness,
 )
 from dfatoms import atoms
-from dfatoms._orbits import _OrbitCounter, _symmetric_orbits
+from dfatoms._orbits import _OrbitCounter
+from dfatoms.atoms import _symmetric_orbits
 
 
 def permutation(n, *cycles):
@@ -94,6 +96,36 @@ def test_no_permutation_letter_that_moves_a_state_takes_the_general_route():
     identity = Dfa(3, ("a", "b"), {"a": Transformation.identity(3),
                                    "b": Transformation.unitary(3, 3, 1)}, 1, frozenset({3}))
     assert type(atoms._counter(identity)) is atoms._QuotientEngine
+
+
+@pytest.mark.parametrize(
+    "dfa",
+    [
+        Dfa(3, ("a", "b"), {"a": Transformation.identity(3), "b": Transformation.unitary(3, 3, 1)},
+            1, frozenset({3})),
+        Dfa(3, ("b",), {"b": Transformation.unitary(3, 3, 1)}, 1, frozenset({3})),
+    ],
+    ids=["identity", "no-permutation"],
+)
+def test_the_trivial_group_is_refused(dfa):
+    assert _symmetric_orbits(dfa) is None
+
+
+def test_the_orbit_test_alone_decides_the_route():
+    dfas = [
+        witness(kind, n)
+        for kind in WitnessClass
+        for n in range(1 if kind is WitnessClass.RIGHT_IDEAL else 2, 13)
+    ] + [
+        minimize(random_dfa(RandomSpec(n, letters, seed)))
+        for n, letters, seed in itertools.product(range(3, 8), range(1, 5), range(150))
+    ]
+    taken = 0
+    for d in dfas:
+        admitted = _symmetric_orbits(d) is not None
+        assert admitted == (type(atoms._counter(d)) is _OrbitCounter), d
+        taken += admitted
+    assert taken == 369
 
 
 # Witnesses none of whose letters is a permutation that moves a state.

@@ -14,6 +14,7 @@ import pytest
 
 import dfatoms
 from dfatoms import RandomSpec, cli, minimize, random_dfa, render_dfa, witness, WitnessClass
+from test_orbits import REFUSED
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SUBMODULES = sorted(dfatoms._EXPORTS)
@@ -108,6 +109,11 @@ EVERY_SUBMODULE = set(SUBMODULES)
         # not taken, and its module does not run.
         (["atoms", "--dfa", "{random}", "--basis", "4,5,6"], 0, {"dfaformat", "dfa", "atoms"},
          {"_orbits", "harness", "bounds", "ideals", "witnesses"}),
+        # Two moving permutation letters generate the dihedral group of the
+        # square, no symmetric product: the orbit test refuses it, and the
+        # orbit route's module does not run.
+        (["atoms", "--dfa", "{dihedral}"], 0, {"dfaformat", "dfa", "atoms"},
+         {"_orbits", "harness", "bounds", "ideals", "witnesses"}),
         (["bounds", "--class", "left", "--n", "4"], 0, {"bounds", "witnesses"},
          {"atoms", "harness", "ideals", "dfaformat", "dfa"}),
         (["table", "--compare", "--max-n", "4"], 0, {"bounds", "witnesses"},
@@ -120,15 +126,15 @@ EVERY_SUBMODULE = set(SUBMODULES)
          {"harness", "atoms", "dfa"}, {"bounds", "ideals", "witnesses", "dfaformat"}),
         # The minimal DFA's one moving permutation letter is (1 3)(2 5 4):
         # its cyclic group is no symmetric product, so the orbit route is
-        # not tried.
+        # not taken.
         (["crosscheck", "--n", "6", "--letters", "3", "--samples", "1", "--seed", "7"], 0,
          {"harness", "atoms", "dfa"}, {"_orbits", "bounds", "ideals", "witnesses", "dfaformat"}),
         (["dot", "--dfa", "{dfa}"], 0, {"dfaformat", "dfa"},
          {"atoms", "harness", "bounds", "ideals", "witnesses"}),
     ],
     ids=[
-        "help", "usage-error", "witness", "atoms", "atoms-basis", "bounds", "table", "check-ideal",
-        "idealize", "crosscheck", "crosscheck-cyclic", "dot",
+        "help", "usage-error", "witness", "atoms", "atoms-basis", "atoms-dihedral", "bounds",
+        "table", "check-ideal", "idealize", "crosscheck", "crosscheck-cyclic", "dot",
     ],
 )
 def test_cli_executes_only_the_modules_its_subcommand_calls(
@@ -138,7 +144,9 @@ def test_cli_executes_only_the_modules_its_subcommand_calls(
     path.write_text(render_dfa(witness(WitnessClass.LEFT_IDEAL, 4)))
     random_path = tmp_path / "random.dfa"
     random_path.write_text(render_dfa(minimize(random_dfa(RandomSpec(6, 3, 1)))))
-    argv = [arg.format(dfa=path, random=random_path) for arg in argv]
+    dihedral_path = tmp_path / "dihedral.dfa"
+    dihedral_path.write_text(render_dfa(REFUSED["dihedral-4"]))
+    argv = [arg.format(dfa=path, random=random_path, dihedral=dihedral_path) for arg in argv]
     exit_code, executed, imported = json.loads(run_python("-c", CLI_PROBE, *argv).stdout)
     assert exit_code == code
     assert called <= set(executed)
