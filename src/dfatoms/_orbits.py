@@ -1,140 +1,145 @@
-"""The orbit route: atom complexities counted over orbits of quotient keys.
+"""The orbit route: atom complexities counted on count vectors.
 
-Let G be the group the permutation letters of a DFA generate.  When G is the
-product of the full symmetric groups on its state orbits, and not trivial
-(``atoms._symmetric_orbits`` proves it), the G-orbit of a disjoint pair
-(X, Y) is named by its *signature*, the counts (|X & O|, |Y & O|) on each
-state orbit O, and it holds the product over O of C(|O|, x) * C(|O| - x, y)
-pairs.  Counting by orbits is then exact:
+The permutation letters generate G, the product of the full symmetric
+groups on its state orbits and not trivial, as ``atoms._symmetric_orbits``
+proves.  G names a set T of states by its *vector*, its counts per state
+orbit O, and the G-orbit of a disjoint pair (X, Y), of Π C(|O|, x)
+C(|O| - x, y) pairs, by its counts (x_O, y_O).  No set of states is listed
+but the reported columns.  Three arguments make counting on vectors exact.
 
-- ``key`` commutes with G (``_QuotientEngine.step`` says why), so a key's
-  orbit is a set of keys of one complexity.
-- The keys an atom reaches are a union of orbits.  A permutation letter keeps
-  a key in its orbit, and the letters reach every key of it, since the
-  inverse of a permutation is one of its powers.
-- So an atom's complexity is the total size of the orbits that its start
-  key's orbit reaches, the empty quotient None counted once.  Orbit K' follows
-  K when some key of K steps into K' under a letter that is not a permutation.
-
-Such a letter l does not commute with G, so the successors of one
-representative per orbit are too few.  Split each state orbit into *cells*:
-the states that one fibre of l with two or more states holds, and the states
-of singleton fibres whose images lie in one orbit.  Two pairs with the same
-counts in every cell differ by a permutation p within cells, which lies in
-G, and l p = s l on them for some s in G, so their image keys share an
-orbit.  One representative per way of spreading the counts over the cells
-therefore gives every successor orbit.
+- C, the set of column vectors, names the columns: the column closure maps
+  T to a^-1(T) per letter a, so the columns are closed under G, all of whose
+  elements are products of permutation letters (an inverse is a power), and
+  G moves T onto every set of its vector.  Under another letter, c's
+  preimage vectors spread each c_P over the targets in orbit P, grouped by
+  their fibres' counts per orbit; C is the finals' vector closed under them.
+- An orbit's free states go all alike.  Some column of vector c is
+  compatible with (X, Y), X inside it and Y outside, exactly when
+  x_O <= c_O <= |O| - y_O for every O.  A free state of O is in every compatible column
+  exactly when all such c have c_O = |O| - y_O, and in none when all have
+  c_O = x_O (``rule``).  Keys commute with G, so an atom reaches whole
+  orbits of keys, each of one complexity, and its complexity is the size of
+  the orbits it reaches, the empty quotient None counted once.
+- A letter l that is not a permutation splits each state orbit into
+  *cells*: one per fibre of two or more states, and one per orbit that
+  singleton fibres lead into.  Pairs with the same counts per cell differ by
+  a p in G within cells, and l p = s l on them for some s in G, so their
+  images' keys share an orbit: one spread per way gives every successor.  A
+  shared fibre's target is an X or a Y state when some X or Y state is in
+  it; both collide.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from math import comb, prod
+from operator import add, le
 
-from .atoms import _QuotientEngine
+from .atoms import _reached
 
 
-class _OrbitCounter(_QuotientEngine):
-    """The orbit route: ``_QuotientEngine``'s counts, summed over key orbits.
+@functools.lru_cache(maxsize=1 << 14)  # shared by every counter of the process
+def _sums(x: int, y: int, cells: tuple) -> tuple:
+    """Every sum of i * ux + j * uy over the (size, ux, uy) of ``cells``
+    when x X-states and y Y-states go into them, i and j into a cell."""
+    *first, (size, ux, uy) = cells
+    sums = {(x, y, 0)}  # the X- and Y-states left, and the sum so far
+    for size_, ux_, uy_ in first:
+        sums = {(a - i, b - j, s + i * ux_ + j * uy_) for a, b, s in sums
+                for i in range(min(a, size_) + 1) for j in range(min(b, size_ - i) + 1)}
+    return tuple({s + a * ux + b * uy for a, b, s in sums if a + b <= size})
 
-    ``orbits`` are the state orbits' masks.  Per letter that is not a
-    permutation, ``spreads`` holds its packed-pair map and, per state orbit,
-    its *spreads*: for each count (x, y), one packed pair per way of
-    spreading x X-states and y Y-states over the letter's cells, the first
-    states of a cell going to X and the next ones to Y.  ``image_orbits``
-    caches the key orbit of an image pair's orbit, the inherited
-    ``successors`` each orbit's successor orbits and ``counts`` each start
-    orbit's count.
+
+class _OrbitCounter:
+    """The orbit route: ``_QuotientEngine``'s counts, on count vectors.
+
+    Counts are bytes, so fewer than 256 states: ``vectors`` holds C, and a
+    pair orbit is x_O per orbit, then y_O.  Per letter that is not a
+    permutation, ``letters`` holds its cells per orbit, (size, X unit, Y
+    unit), and the bit offsets of its shared fibres' own counts and of their
+    targets' orbits' counts.  ``rule`` and ``count`` are memoized, with each
+    key orbit's size in ``weights`` and its successors in ``successors``.
     """
 
     def __init__(self, dfa, orbits: list[int]):
-        super().__init__(dfa)
-        n = self.n
-        self.orbits = orbits
+        n, k = self.n, self.k = dfa.state_count, len(orbits)
+        self.full, self.orbits = (1 << n) - 1, orbits
         self.sizes = [o.bit_count() for o in orbits]
         orbit_of = [next(i for i, o in enumerate(orbits) if o >> q & 1) for q in range(n)]
-        self.spreads = []
-        kinds = set()
-        for letter, (image_of, permutes) in zip(dfa.alphabet, self.letters):
-            if permutes:
-                continue
-            image = [r - 1 for r in dfa.delta[letter].image]
-            fibres = [[0] * len(orbits) for _ in image]  # per target, its sources per orbit
+        self.letters, groups = [], []
+        for image in {i for i in (dfa.delta[a].image for a in dfa.alphabet) if len(set(i)) < n}:
+            sources = Counter(image)  # per target, its fibre's size
+            fibres, cells = [0] * n, [Counter() for _ in orbits]
             for q, r in enumerate(image):
-                fibres[r][orbit_of[q]] += 1
-            # Letters l and s l p, for s and p in G, lead an orbit into the same
-            # orbits, and these are the letters with the same fibres per orbit.
-            kind = tuple(sorted((orbit_of[r], tuple(f)) for r, f in enumerate(fibres) if any(f)))
-            if kind in kinds:
-                continue
-            kinds.add(kind)
-            cells: list[dict] = [{} for _ in orbits]
-            for q, r in enumerate(image):
-                # A shared fibre is named by its target, as a 1-tuple, and
-                # the singleton fibres by the orbit of their images.
-                cell = (r,) if sum(fibres[r]) > 1 else orbit_of[r]
-                prefix = cells[orbit_of[q]].setdefault(cell, [0])
-                prefix.append(prefix[-1] | 1 << q)
-            spreads = []
-            for orbit in cells:
-                spread = {(0, 0): [0]}
-                for prefix in orbit.values():  # prefix[k] masks the cell's first k states
-                    grown: dict[tuple, list[int]] = {}
-                    for (x, y), pairs in spread.items():
-                        for i in range(len(prefix)):
-                            for j in range(i, len(prefix)):  # X: i states, Y: j - i
-                                part = prefix[i] | (prefix[j] ^ prefix[i]) << n
-                                grown.setdefault((x + i, y + j - i), []).extend(
-                                    p | part for p in pairs
-                                )
-                    spread = grown
-                spreads.append(spread)
-            self.spreads.append((image_of, spreads))
-        self.image_orbits: dict[tuple, tuple | None] = {}
-        self.counts: dict[tuple, int] = {}
+                fibres[r - 1] += 1 << 8 * orbit_of[q]  # the fibre's counts per orbit
+                # q counts in its shared fibre's two bytes, or in those of its image's orbit.
+                bit = 16 * (k + r) if sources[r] > 1 else 8 * orbit_of[r - 1]
+                cells[orbit_of[q]][1 << bit, 1 << bit + (8 if sources[r] > 1 else 8 * k)] += 1
+            # Per target orbit, its targets grouped by their fibres' counts.
+            groups.append([tuple((m, f, 0) for f, m in Counter(
+                f for r, f in enumerate(fibres) if orbit_of[r] == t).items()) for t in range(k)])
+            shared = [(16 * (k + r), 8 * orbit_of[r - 1]) for r in sources if sources[r] > 1]
+            self.letters.append(([tuple((m, *u) for u, m in c.items()) for c in cells], shared))
+        finals = sum(1 << 8 * orbit_of[q - 1] for q in dfa.finals)
+        self.vectors = [v.to_bytes(k, "little") for v in _reached(finals, lambda v, _: {
+            sum(parts) for group in groups
+            for parts in itertools.product(*map(_sums, v.to_bytes(k, "little"), [0] * k, group))
+        }, {})]
+        self.weights, self.successors = {None: 1}, {}
+        self.rule = functools.cache(self._rule)
+        self.count = functools.cache(lambda start: sum(
+            map(self.weights.__getitem__, _reached(start, self._step, self.successors))))
 
-    def signature(self, pair: int) -> tuple:
-        """The counts (|X & O|, |Y & O|) of a packed pair per orbit O."""
-        y = pair >> self.n
-        return tuple(((pair & o).bit_count(), (y & o).bit_count()) for o in self.orbits)
+    def _rule(self, pair: bytes) -> bytes | None:
+        """The key orbit of the pairs counted by ``pair``, with its size in
+        ``weights``, or None: no column is compatible with them."""
+        sizes, xs, ys = self.sizes, pair[:self.k], pair[self.k:]
+        fits = [c for c in self.vectors
+                if all(map(le, xs, c)) and all(map(le, map(add, c, ys), sizes))]
+        if not fits:
+            return None
+        per = list(zip(*fits))  # per orbit, the counts of the compatible vectors
+        xs = [s - y if min(cs) + y == s else x for x, y, s, cs in zip(xs, ys, sizes, per)]
+        ys = [s - x if max(cs) == x else y for x, y, s, cs in zip(xs, ys, sizes, per)]
+        key = bytes(xs + ys)
+        self.weights[key] = prod(comb(s, x) * comb(s - x, y) for s, x, y in zip(sizes, xs, ys))
+        return key
 
-    def _step(self, orbit: tuple | None, _) -> set:
-        """The orbits the letters that are not permutations lead ``orbit`` into.
+    def key(self, x: int, y: int) -> bytes | None:
+        """The key orbit of the disjoint pair state (x, y)."""
+        return self.rule(bytes((m & o).bit_count() for m in (x, y) for o in self.orbits))
 
-        ``key`` runs once per orbit of image pairs: images in one orbit have
-        keys in one orbit.  The empty quotient None leads nowhere new.
-        """
-        if orbit is None:
-            return set()
-        n, full = self.n, self.full
-        found = set()
-        for image_of, spreads in self.spreads:
-            for parts in itertools.product(*map(dict.__getitem__, spreads, orbit)):
-                image = image_of(sum(parts))
-                if image & full & image >> n:
-                    found.add(None)
-                    continue
-                sig = self.signature(image)
-                if sig not in self.image_orbits:
-                    key = self.key(image & full, image >> n)
-                    self.image_orbits[sig] = None if key is None else self.signature(key)
-                found.add(self.image_orbits[sig])
+    def _step(self, orbit: bytes | None, _) -> set:
+        """The orbits the letters that are not permutations lead ``orbit``
+        into; the empty quotient None leads nowhere new."""
+        found, k = set(), self.k
+        for cells, shared in self.letters if orbit is not None else ():
+            for parts in itertools.product(*map(_sums, orbit[:k], orbit[k:], cells)):
+                image = sum(parts)
+                for f, t in shared:
+                    x, y = image >> f & 255, image >> f + 8 & 255
+                    if x and y:
+                        found.add(None)
+                        break
+                    image += (x > 0) << t | (y > 0) << t + 8 * k
+                else:
+                    found.add(self.rule((image & (1 << 16 * k) - 1).to_bytes(2 * k, "little")))
         return found
 
-    def _count(self, start: int) -> int:
-        """The total size of the orbits the start key's orbit reaches, itself
-        included, the empty quotient None counted once."""
-        orbit = self.signature(start)
-        count = self.counts.get(orbit)
-        if count is None:
-            self.counts[orbit] = count = sum(
-                1 if reached is None else
-                prod(comb(s, x) * comb(s - x, y) for s, (x, y) in zip(self.sizes, reached))
-                for reached in self._reached(orbit, self._step)
-            )
-        return count
+    def complexity(self, basis_mask: int) -> int:
+        """Number of distinct quotients of the atom, or 0 if it is empty."""
+        start = self.key(basis_mask, self.full ^ basis_mask)
+        return 0 if start is None else self.count(start)
+
+    @functools.cached_property
+    def columns(self) -> list[int]:
+        """The sets of states with vectors in C, as masks in increasing order."""
+        states = [[1 << q for q in range(self.n) if o >> q & 1] for o in self.orbits]
+        return sorted(sum(parts) for c in self.vectors for parts in itertools.product(
+            *(map(sum, itertools.combinations(s, k)) for s, k in zip(states, c))))
 
     def complexities(self) -> list[int]:
         """The complexity of every atom, in ``columns`` order."""
-        n, full = self.n, self.full
-        return [self._count(col | (full ^ col) << n) for col in self.columns]
+        return [self.complexity(col) for col in self.columns]

@@ -36,9 +36,9 @@ gives every atom's complexity as the size of the reach of its start key.
 That is the general route.  When the permutation letters generate exactly
 the product of the full symmetric groups on their state orbits, not all of
 them single states (``_symmetric_orbits`` tests it), both count the keys by
-orbits of that group instead: the orbit route, in ``_orbits``, never lists
-the keys.  Its counter subclasses ``_QuotientEngine`` and walks orbits with
-the same memoized search; ``_counter`` keeps the one counter of a DFA.
+orbits of that group instead: the orbit route, in ``_orbits``, counts on
+column vectors and lists no key.  Its counter stands apart from this one,
+but walks with the same memoized ``_reached``; ``_counter`` keeps the one.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ class _QuotientEngine:
     columns it is incompatible with: those lacking a state of X or containing
     one of Y.  A quotient's key packs its canonical pair (X, Y) as
     ``X | Y << n``; the empty quotient's key is None.
-    ``successors`` memoizes each node's successors for ``_reached``, so
+    ``successors`` memoizes each key's successors for ``_reached``, so
     atoms of the same DFA share the quotients they have in common.
     """
 
@@ -242,34 +242,10 @@ class _QuotientEngine:
         return images
 
     def complexity(self, basis_mask: int) -> int:
-        """Number of distinct quotients of the atom, or 0 if it is empty."""
+        """Number of distinct quotients of the atom, or 0 if it is empty: the
+        keys its start key reaches, the empty quotient None among them."""
         start = self.key(basis_mask, self.full ^ basis_mask)
-        return 0 if start is None else self._count(start)
-
-    def _count(self, start: int) -> int:
-        """The number of keys the start key reaches, the empty quotient None
-        counted like any other."""
-        return len(self._reached(start, self.step))
-
-    def _reached(self, start, step) -> set:
-        """The nodes reachable from ``start``, itself included.
-
-        ``step(node, seen)`` lists a node's successors, ``seen`` holding the
-        nodes found so far; each node's list is memoized in ``successors``
-        across walks, so ``step`` runs once per node of this counter.
-        """
-        memo = self.successors
-        seen = {start}
-        order = [start]
-        for node in order:
-            successors = memo.get(node)
-            if successors is None:
-                memo[node] = successors = tuple(step(node, seen))
-            for succ in successors:
-                if succ not in seen:
-                    seen.add(succ)
-                    order.append(succ)
-        return seen
+        return 0 if start is None else len(_reached(start, self.step, self.successors))
 
     def key_graph(self) -> tuple[list[int | None], list[list[int]]]:
         """Every key reachable from some column's start pair, and its edges.
@@ -292,6 +268,25 @@ class _QuotientEngine:
         component, reach = _reach(self.key_graph()[1])
         counts = [bits.bit_count() for bits in reach]
         return [counts[c] for c in component[: len(self.columns)]]
+
+
+def _reached(start, step, memo: dict) -> set:
+    """The nodes reachable from ``start``, itself included, in both routes.
+
+    ``step(node, seen)`` lists a node's successors, ``seen`` holding the
+    nodes found so far; ``memo`` keeps each node's list across walks.
+    """
+    seen = {start}
+    order = [start]
+    for node in order:
+        successors = memo.get(node)
+        if successors is None:
+            memo[node] = successors = tuple(step(node, seen))
+        for succ in successors:
+            if succ not in seen:
+                seen.add(succ)
+                order.append(succ)
+    return seen
 
 
 def _reach(rows: list[list[int]]) -> tuple[list[int], list[int]]:
@@ -409,11 +404,11 @@ def _symmetric_orbits(dfa) -> list[int] | None:
 
 
 @functools.lru_cache(maxsize=1)
-def _counter(dfa: Dfa) -> _QuotientEngine:
-    """The one counter of ``dfa``: the orbit route's, a ``_QuotientEngine``
-    subclass, when ``_symmetric_orbits`` admits it, else the general
-    route's; both count alike.  A DFA of more than ``SUBSET_OP_LIMIT``
-    states is not tested: it fails in the column closure."""
+def _counter(dfa: Dfa):
+    """The one counter of ``dfa``: an ``_OrbitCounter`` when
+    ``_symmetric_orbits`` admits it, else a ``_QuotientEngine``; both count
+    alike.  A DFA of more than ``SUBSET_OP_LIMIT`` states is not tested: it
+    fails in the column closure."""
     orbits = _symmetric_orbits(dfa) if dfa.state_count <= SUBSET_OP_LIMIT else None
     if orbits is None:
         return _QuotientEngine(dfa)

@@ -259,10 +259,10 @@ def _discover(starts, step, letters: int, cap: int | None = None):
     (``_column_masks``) runs on every enumeration and atom query, and
     through this loop, building rows it does not need, it took 1.6-2x as
     long at n = 10-16.  The one memoized walk of both atom routes
-    (``atoms._QuotientEngine._reached``) stops at the nodes one atom
-    reaches and memoizes successors across atoms; with rows the general
-    route's walk was about 13 % slower, and the orbit route
-    (``_orbits._OrbitCounter``) steps one orbit to several orbits under one
+    (``atoms._reached``) stops at the nodes one atom reaches and memoizes
+    successors across atoms; with rows the general route's walk was about
+    13 % slower, and the orbit route (``_orbits._OrbitCounter``) steps one
+    key orbit, or one column vector in its closure, to several under one
     letter, which a row of one successor per letter cannot hold.  The
     monoid oracle (``harness._MonoidDfa``) keeps its own search, which also
     records each element's predecessors and groups the elements by column,

@@ -6,6 +6,7 @@ that group is the product of the full symmetric groups on its state orbits.
 The general route, ``_QuotientEngine``, is the oracle here.
 """
 
+import functools
 import itertools
 import random
 
@@ -17,6 +18,7 @@ from dfatoms import (
     Transformation,
     WitnessClass,
     atom_complexity,
+    enumerate_atoms,
     minimize,
     random_dfa,
     regular_witness,
@@ -25,6 +27,7 @@ from dfatoms import (
 from dfatoms import atoms
 from dfatoms._orbits import _OrbitCounter
 from dfatoms.atoms import _symmetric_orbits
+from test_atoms import complement, renamed
 
 
 def permutation(n, *cycles):
@@ -177,3 +180,71 @@ def test_orbit_route_on_seeded_random_dfas_with_permutation_letters():
         for mask in range(0, 1 << n, 7):
             assert counter.complexity(mask) == engine.complexity(mask), (n, seed, mask)
     assert taken == 107
+
+
+@functools.lru_cache(maxsize=None)
+def seeded_route_dfas():
+    """The seeded random DFAs of the test above that take the orbit route."""
+    specs = itertools.product(range(3, 9), range(300))
+    dfas = (random_dfa(RandomSpec(n, 3, seed)) for n, seed in specs)
+    return tuple(d for d in dfas if _symmetric_orbits(d) is not None)
+
+
+def assert_complement_flips_vectors_and_bases(d):
+    # Flipping the finals keeps the letters, so the route and the orbits;
+    # each column T becomes Q \ T, so each vector c becomes |O| - c, and the
+    # atom of Q \ S has the quotients of the atom of S.
+    orbits = _symmetric_orbits(d)
+    flipped = complement(d)
+    assert _symmetric_orbits(flipped) == orbits
+    counter, other = _OrbitCounter(d, orbits), _OrbitCounter(flipped, orbits)
+    assert sorted(other.vectors) == sorted(
+        bytes(size - c for size, c in zip(counter.sizes, vector)) for vector in counter.vectors
+    )
+    full = counter.full
+    assert dict(zip(other.columns, other.complexities())) == {
+        full ^ col: count for col, count in zip(counter.columns, counter.complexities())
+    }
+
+
+ROUTE_WITNESSES = [
+    (kind, n) for kind in WitnessClass for n in range(2, 13)
+    if (kind, n) not in WITHOUT_MOVING_PERMUTATIONS
+]
+
+
+@pytest.mark.parametrize(
+    "kind, n", ROUTE_WITNESSES, ids=[f"{kind.value}-{n}" for kind, n in ROUTE_WITNESSES]
+)
+def test_complement_flips_the_column_vectors_and_the_bases_of_witnesses(kind, n):
+    assert_complement_flips_vectors_and_bases(witness(kind, n))
+
+
+def test_complement_flips_the_column_vectors_and_the_bases_of_seeded_random_dfas():
+    for d in seeded_route_dfas():
+        assert_complement_flips_vectors_and_bases(d)
+
+
+def test_renaming_and_a_duplicate_letter_keep_every_atom_on_the_orbit_route():
+    # The relations of test_atoms.py, on minimal random DFAs that take the
+    # orbit route; renaming conjugates the group and a copied letter keeps
+    # it, so both sides take the route too.
+    rng = random.Random(32)
+    inputs = [minimize(d) for d in rng.sample(seeded_route_dfas(), 40)]
+    inputs = [d for d in inputs if _symmetric_orbits(d) is not None]
+    assert len(inputs) >= 30
+    for d in inputs:
+        n = d.state_count
+        original = enumerate_atoms(d)
+        perm = rng.sample(range(1, n + 1), n)
+        moved = renamed(d, perm)
+        assert type(atoms._counter(moved)) is _OrbitCounter
+        assert {(info.basis, info.complexity) for info in enumerate_atoms(moved).atoms} == {
+            (frozenset(perm[q - 1] for q in info.basis), info.complexity)
+            for info in original.atoms
+        }
+        letter = rng.choice(d.alphabet)
+        doubled = Dfa(n, d.alphabet + ("copy",), {**d.delta, "copy": d.delta[letter]},
+                      d.initial, d.finals)
+        assert type(atoms._counter(doubled)) is _OrbitCounter
+        assert enumerate_atoms(doubled) == original

@@ -1,3 +1,5 @@
+from math import comb, prod
+
 import pytest
 
 from dfatoms import (
@@ -232,3 +234,34 @@ def test_witness_at_n13_to_n16_attains_the_table_and_its_complement_agrees(kind,
     assert {(full - info.basis, info.complexity) for info in flipped.atoms} == {
         (info.basis, info.complexity) for info in report.atoms
     }
+
+
+# The paper's bounds past n = 16, and past the 20-state limit of the atom
+# functions, where ``_counter`` does not go: the orbit counter, built
+# directly, names each column vector c by one basis, the first c_O states of
+# each state orbit O.  The vector stands for the product over O of
+# C(|O|, c_O) columns, all of one complexity, since the columns and the keys
+# are invariant under the group.  Each case takes under half a second, n = 64
+# included, so none is marked slow.
+PAST_16 = [
+    pytest.param(kind, n, id=f"{kind.value}-{n}")
+    for n in (17, 20, 24, 32, 48, 64)
+    for kind in WitnessClass
+]
+
+
+@pytest.mark.parametrize("kind, n", PAST_16)
+def test_orbit_counter_attains_the_bounds_past_n16(kind, n):
+    d = witness(kind, n)
+    counter = _OrbitCounter(d, atoms._symmetric_orbits(d))
+    states = [[q for q in range(n) if o >> q & 1] for o in counter.orbits]
+    atom_count = 0
+    maxima = {}
+    for vector in counter.vectors:
+        atom_count += prod(comb(size, c) for size, c in zip(counter.sizes, vector))
+        basis = sum(1 << q for orbit, c in zip(states, vector) for q in orbit[:c])
+        size = sum(vector)
+        maxima[size] = max(maxima.get(size, 0), counter.complexity(basis))
+    assert atom_count == max_atom_count(kind, n)
+    bounds = {size: atom_complexity_bound(kind, n, size) for size in range(n + 1)}
+    assert maxima == {size: bound for size, bound in bounds.items() if bound is not None}
