@@ -61,6 +61,7 @@ class _OrbitCounter:
     unit), and the bit offsets of its shared fibres' own counts and of their
     targets' orbits' counts.  ``rule`` and ``count`` are memoized, with each
     key orbit's size in ``weights`` and its successors in ``successors``.
+    Only ``complexities`` lists sets of states: the columns, once each.
     """
 
     def __init__(self, dfa, orbits: list[int]):
@@ -133,13 +134,13 @@ class _OrbitCounter:
         start = self.key(basis_mask, self.full ^ basis_mask)
         return 0 if start is None else self.count(start)
 
-    @functools.cached_property
-    def columns(self) -> list[int]:
-        """The sets of states with vectors in C, as masks in increasing order."""
+    def complexities(self) -> dict[int, int]:
+        """The complexity of every atom, keyed by its column mask: each c in C
+        counts its start orbit (c, |O| - c) once, for all the sets it names."""
         states = [[1 << q for q in range(self.n) if o >> q & 1] for o in self.orbits]
-        return sorted(sum(parts) for c in self.vectors for parts in itertools.product(
-            *(map(sum, itertools.combinations(s, k)) for s, k in zip(states, c))))
-
-    def complexities(self) -> list[int]:
-        """The complexity of every atom, in ``columns`` order."""
-        return [self.complexity(col) for col in self.columns]
+        found = {}
+        for c in self.vectors:
+            count = self.count(self.rule(c + bytes(map(int.__sub__, self.sizes, c))))
+            found |= dict.fromkeys(map(sum, itertools.product(
+                *(map(sum, itertools.combinations(s, k)) for s, k in zip(states, c)))), count)
+        return found

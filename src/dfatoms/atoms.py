@@ -259,15 +259,15 @@ class _QuotientEngine:
         starts = [col | (full ^ col) << n for col in self.columns]
         return _discover(starts, self.step, len(self.letters))
 
-    def complexities(self) -> list[int]:
-        """The complexity of every atom, in ``columns`` order, in one pass.
+    def complexities(self) -> dict[int, int]:
+        """The complexity of every atom, keyed by its column mask, in one pass.
 
         An atom's quotients are the nodes its start key reaches in the key
         graph, the empty quotient counted once as the node None.
         """
         component, reach = _reach(self.key_graph()[1])
         counts = [bits.bit_count() for bits in reach]
-        return [counts[c] for c in component[: len(self.columns)]]
+        return {col: counts[c] for col, c in zip(self.columns, component)}
 
 
 def _reached(start, step, memo: dict) -> set:
@@ -455,23 +455,22 @@ def enumerate_atoms(dfa: Dfa) -> AtomReport:
     """Enumerate the atoms of the language of ``dfa``.
 
     Minimizes first when the input is not already minimal, so bases refer to
-    the states of the minimal DFA.  Bases come from the achievable-column
-    closure.  The complexities come from one pass over the graph of every
-    quotient key that some atom reaches: each atom counts the keys its start
-    key reaches, read off the graph's strongly connected components.  Where
-    the orbit route applies (see the module docstring), they come from the
-    orbits of those keys instead.
+    the states of the minimal DFA.  The DFA's one counter (``_counter``)
+    gives every column's complexity: on the general route from one pass
+    over the graph of every quotient key that some atom reaches, each atom
+    counting the keys its start key reaches; on the orbit route (see the
+    module docstring) once per column vector.  The report sorts that map.
     """
     minimal = minimize(dfa)
     if minimal.state_count == dfa.state_count:
         minimal = dfa
-    counter = _counter(minimal)
-    n, full = counter.n, counter.full
+    n = minimal.state_count
+    full = (1 << n) - 1
     # By size, then by sorted basis: the complement's bits, lowest state
     # first, order bases of one size as their sorted lists do.
     pairs = sorted(
-        zip(counter.columns, counter.complexities()),
+        _counter(minimal).complexities().items(),
         key=lambda pair: (pair[0].bit_count(), f"{full ^ pair[0]:0{n}b}"[::-1]),
     )
     infos = tuple(AtomInfo(_set_of(col), count) for col, count in pairs)
-    return AtomReport(minimal.state_count, infos)
+    return AtomReport(n, infos)

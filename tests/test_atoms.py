@@ -324,7 +324,7 @@ def test_universal_automata_attain_exactly_the_bounds(kind, n, finals):
     assert type(atoms._counter(d)) is _OrbitCounter
     assert atoms._counter(d).complexities() == counts
     maxima = {}
-    for col, count in zip(engine.columns, counts):
+    for col, count in counts.items():
         size = col.bit_count()
         maxima[size] = max(maxima.get(size, 0), count)
     bounds = {size: atom_complexity_bound(kind, n, size) for size in range(n + 1)}
@@ -346,7 +346,7 @@ def test_one_pass_does_not_recurse():
     finally:
         sys.setrecursionlimit(saved)
     assert components > limit
-    for col, count in list(zip(engine.columns, counts))[::40]:
+    for col, count in list(counts.items())[::40]:
         assert count == engine.complexity(col)
 
 
@@ -359,23 +359,39 @@ def test_a_dfa_past_the_limit_is_refused_before_the_orbit_test(monkeypatch):
         enumerate_atoms(regular_witness(21))
 
 
+def renamed(d, perm):
+    """``d`` with each state q renamed ``perm[q - 1]``."""
+    delta = {}
+    for letter in d.alphabet:
+        image = [0] * d.state_count
+        for q, r in enumerate(d.delta[letter].image):
+            image[perm[q] - 1] = perm[r - 1]
+        delta[letter] = Transformation(image)
+    finals = frozenset(perm[q - 1] for q in d.finals)
+    return Dfa(d.state_count, d.alphabet, delta, perm[d.initial - 1], finals)
+
+
 # The random inputs of test_cli_pins.py, which take the general route, and
-# one witness per class, which takes the orbit route.
+# one witness per class, which takes the orbit route, as does the left 6
+# witness renamed so that its orbits, {1, 2, 3, 5, 6} and {4}, are no runs
+# of states: the report's one sort must order its bases too.
+SCATTERED_LEFT_6 = renamed(witness(WitnessClass.LEFT_IDEAL, 6), (4, 1, 6, 2, 5, 3))
 REPORT_ORDER_INPUTS = {
     **{f"random-{seed}": random_dfa(RandomSpec(9, 2 + seed % 2, seed)) for seed in range(1, 11)},
     **{f"{kind.value}-6": witness(kind, 6) for kind in WitnessClass},
+    "left-6-scattered": SCATTERED_LEFT_6,
 }
-WITNESSES_AT_6 = [witness(kind, 6) for kind in WitnessClass]
+ORBIT_ROUTE_INPUTS = [witness(kind, 6) for kind in WitnessClass] + [SCATTERED_LEFT_6]
 
 
 @pytest.mark.parametrize("dfa", REPORT_ORDER_INPUTS.values(), ids=REPORT_ORDER_INPUTS)
 def test_atom_report_is_ordered_by_size_then_sorted_basis(dfa):
     report = enumerate_atoms(dfa)
     counter = atoms._counter(minimize(dfa))
-    assert (type(counter) is _OrbitCounter) == (dfa in WITNESSES_AT_6)
+    assert (type(counter) is _OrbitCounter) == (dfa in ORBIT_ROUTE_INPUTS)
     order = [(len(info.basis), sorted(info.basis)) for info in report.atoms]
     assert all(a < b for a, b in zip(order, order[1:]))
-    assert report.count == len(counter.columns)
+    assert report.count == len(counter.complexities())
 
 
 def test_enumerate_atoms_counts():
@@ -462,7 +478,9 @@ def minimal_random_dfas(count):
 @pytest.mark.parametrize(
     "dfa",
     minimal_random_dfas(18)
-    + [regular_witness(9), left_ideal_witness(10), two_sided_ideal_witness(10)],
+    + [regular_witness(9), left_ideal_witness(10), two_sided_ideal_witness(10)]
+    # Minimal random DFAs of 15 states, all on the general route.
+    + [minimize(random_dfa(RandomSpec(16, 2 + s % 2, s))) for s in (9001, 9005, 9008, 9010)],
 )
 def test_complement_sends_each_basis_to_its_complement(dfa):
     # Flipping the finals turns the atom of S into the atom of Q \ S, with
@@ -487,18 +505,6 @@ METAMORPHIC_INPUTS = [
     )
 ] + minimal_random_dfas(6)
 original_report = functools.lru_cache(maxsize=None)(enumerate_atoms)
-
-
-def renamed(d, perm):
-    """``d`` with each state q renamed ``perm[q - 1]``."""
-    delta = {}
-    for letter in d.alphabet:
-        image = [0] * d.state_count
-        for q, r in enumerate(d.delta[letter].image):
-            image[perm[q] - 1] = perm[r - 1]
-        delta[letter] = Transformation(image)
-    finals = frozenset(perm[q - 1] for q in d.finals)
-    return Dfa(d.state_count, d.alphabet, delta, perm[d.initial - 1], finals)
 
 
 def split_state(d, rng):

@@ -136,10 +136,12 @@ def test_pair_automaton_numbering_matches_oracle(dfa):
 def test_one_pass_agrees_with_walk_and_oracles(dfa):
     n = dfa.state_count
     engine = atoms._QuotientEngine(dfa)
-    counts = engine.complexities()
-    bases = [frozenset(q for q in range(1, n + 1) if col >> (q - 1) & 1) for col in engine.columns]
-    assert set(bases) == brute_columns(dfa)
-    for basis, count in zip(bases, counts):
+    counts = {
+        frozenset(q for q in range(1, n + 1) if col >> (q - 1) & 1): count
+        for col, count in engine.complexities().items()
+    }
+    assert set(counts) == brute_columns(dfa)
+    for basis, count in counts.items():
         assert count == atom_complexity(dfa, basis)
         assert count == oracle_atom_complexity(dfa, basis)
         assert count == column_signature_complexity(dfa, basis)

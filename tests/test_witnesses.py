@@ -188,7 +188,7 @@ def test_witness_at_n10_to_n12_attains_every_bound_and_the_atom_count(kind, n):
     engine = atoms._QuotientEngine(d)
     general = {
         frozenset(q for q in range(1, n + 1) if col >> (q - 1) & 1): count
-        for col, count in zip(engine.columns, engine.complexities())
+        for col, count in engine.complexities().items()
     }
     assert general == {info.basis: info.complexity for info in report.atoms}
     maxima = [None] * (n + 1)
