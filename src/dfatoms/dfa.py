@@ -442,16 +442,13 @@ def _column_masks(dfa: Dfa) -> set[int]:
     preimages = _preimage_maps(dfa)
     start = _mask_of(dfa.finals)
     seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for col in frontier:
-            for preimage in preimages:
-                pre = preimage(col)
-                if pre not in seen:
-                    seen.add(pre)
-                    nxt.append(pre)
-        frontier = nxt
+    order = [start]
+    for col in order:  # appends to ``order`` as it goes
+        for preimage in preimages:
+            pre = preimage(col)
+            if pre not in seen:
+                seen.add(pre)
+                order.append(pre)
     return seen
 
 

@@ -148,6 +148,39 @@ def words_contains(dfa, p, q, max_len):
     return True
 
 
+def backward_containment(dfa):
+    """The pairs (p, q) with K_p a subset of K_q, for the whole DFA at once.
+
+    A pair fails when some word leads it to (final, non-final).  The failed
+    pairs are those pairs closed backwards: (p, q) fails when some letter
+    sends it to a failed pair, found through per-letter inverse images.
+    """
+    n = dfa.state_count
+    inverses = []  # per letter, per state r: the states the letter sends to r
+    for letter in dfa.alphabet:
+        inverse = {r: [] for r in range(1, n + 1)}
+        for p, r in enumerate(dfa.delta[letter].image, 1):
+            inverse[r].append(p)
+        inverses.append(inverse)
+    failed = {
+        (p, q) for p in dfa.finals for q in range(1, n + 1) if q not in dfa.finals
+    }
+    order = list(failed)
+    for r, s in order:  # appends to ``order`` as it goes
+        for inverse in inverses:
+            for p in inverse[r]:
+                for q in inverse[s]:
+                    if (p, q) not in failed:
+                        failed.add((p, q))
+                        order.append((p, q))
+    return {
+        (p, q)
+        for p in range(1, n + 1)
+        for q in range(1, n + 1)
+        if (p, q) not in failed
+    }
+
+
 def brute_semigroup(dfa, cap=100000):
     """Closure of the letter images under composition, as raw tuples."""
     gens = [dfa.delta[letter].image for letter in dfa.alphabet]

@@ -350,6 +350,78 @@ def test_one_pass_does_not_recurse():
         assert count == engine.complexity(col)
 
 
+def check_reach(rows):
+    """Check ``_reach(rows)`` against reachability found node by node."""
+    count = len(rows[0])
+    reached = []
+    for v in range(count):
+        seen = {v}
+        order = [v]
+        for u in order:
+            for row in rows:
+                if row[u] not in seen:
+                    seen.add(row[u])
+                    order.append(row[u])
+        reached.append(seen)
+    component, reach = atoms._reach(rows)
+    # The components partition the nodes, each the nodes that reach each other.
+    assert sorted(set(component)) == list(range(len(reach)))
+    for v in range(count):
+        for w in range(count):
+            mutual = w in reached[v] and v in reached[w]
+            assert (component[v] == component[w]) == mutual
+    # Emission order: an edge never leads to a later component.
+    assert all(component[row[v]] <= component[v] for row in rows for v in range(count))
+    # A component's own bits are one run, the runs in emission order, and
+    # its reach is the runs of the components its members reach.
+    sizes = [0] * len(reach)
+    for c in component:
+        sizes[c] += 1
+    runs, start = [], 0
+    for size in sizes:
+        runs.append(((1 << size) - 1) << start)
+        start += size
+    for v in range(count):
+        c = component[v]
+        assert reach[c].bit_count() == len(reached[v])
+        assert reach[c] == sum(runs[d] for d in {component[w] for w in reached[v]})
+
+
+def test_reach_matches_reachability_on_random_graphs():
+    rng = random.Random(34)
+    for _ in range(60):
+        letters, count = rng.randint(1, 4), rng.randint(1, 300)
+        sinks = set(rng.sample(range(count), rng.randint(0, min(3, count))))
+        rows = [
+            [
+                v if v in sinks or rng.random() < 0.1 else rng.randrange(count)
+                for v in range(count)
+            ]
+            for _ in range(letters)
+        ]
+        check_reach(rows)
+
+
+def test_reach_on_a_long_path_and_a_long_cycle_does_not_recurse():
+    n = 5000
+    path = [[min(v + 1, n - 1) for v in range(n)]]
+    cycle = [[(v + 1) % n for v in range(n)]]
+    limit = len(inspect.stack(0)) + 100
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        path_component, path_reach = atoms._reach(path)
+        cycle_component, cycle_reach = atoms._reach(cycle)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert len(path_reach) == n
+    assert [path_reach[path_component[v]].bit_count() for v in range(n)] == list(
+        range(n, 0, -1)
+    )
+    assert cycle_component == [0] * n
+    assert cycle_reach == [(1 << n) - 1]
+
+
 def test_a_dfa_past_the_limit_is_refused_before_the_orbit_test(monkeypatch):
     def refuse(dfa):
         raise AssertionError("_symmetric_orbits ran")

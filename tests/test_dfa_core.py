@@ -31,6 +31,7 @@ from dfatoms import (
 from dfatoms.dfa import _image_maps, _mask_map, _preimage_maps
 from dfatoms.ideals import _containment_masks, idealize, is_left_ideal, is_two_sided_ideal
 from oracles import (
+    backward_containment,
     brute_columns,
     brute_partition,
     brute_semigroup,
@@ -405,3 +406,16 @@ def test_containment_on_a_580_state_closure_stays_small():
         tracemalloc.stop()
     assert peak < 1_000_000
     assert is_left_ideal(closed)
+
+
+@pytest.mark.parametrize("seed, states", [(4, 157), (21, 220), (0, 294)])
+def test_containment_matches_a_backward_pair_closure_on_large_closures(seed, states):
+    # The left closures that ideal-check draws, past the 100-state DFAs that
+    # the forward pair search checks: every pair against one backward search.
+    closed = idealize(random_dfa(RandomSpec(14, 3, seed, 0.1)), WitnessClass.LEFT_IDEAL)
+    assert closed.state_count == states
+    n = closed.state_count
+    contains = backward_containment(closed)
+    for p in range(1, n + 1):
+        for q in range(1, n + 1):
+            assert state_language_contains(closed, p, q) == ((p, q) in contains)
