@@ -44,6 +44,8 @@ def one_state_accept_all():
 def test_pair_state_disjointness():
     with pytest.raises(ValueError):
         PairState(frozenset({1, 2}), frozenset({2}))
+    with pytest.raises(ValueError, match="sink"):
+        PairState(frozenset({1}), frozenset(), is_bottom=True)
     bottom = PairState.bottom()
     assert bottom.is_bottom and not bottom.x and not bottom.y
 
@@ -547,12 +549,17 @@ def minimal_random_dfas(count):
             return found
 
 
+# Minimal random DFAs of 15 states, all on the general route.
+FIFTEEN_STATE_DFAS = [
+    minimize(random_dfa(RandomSpec(16, 2 + s % 2, s))) for s in (9001, 9005, 9008, 9010)
+]
+
+
 @pytest.mark.parametrize(
     "dfa",
     minimal_random_dfas(18)
     + [regular_witness(9), left_ideal_witness(10), two_sided_ideal_witness(10)]
-    # Minimal random DFAs of 15 states, all on the general route.
-    + [minimize(random_dfa(RandomSpec(16, 2 + s % 2, s))) for s in (9001, 9005, 9008, 9010)],
+    + FIFTEEN_STATE_DFAS,
 )
 def test_complement_sends_each_basis_to_its_complement(dfa):
     # Flipping the finals turns the atom of S into the atom of Q \ S, with
@@ -575,7 +582,7 @@ METAMORPHIC_INPUTS = [
         regular_witness(9), right_ideal_witness(10), left_ideal_witness(10),
         two_sided_ideal_witness(11),
     )
-] + minimal_random_dfas(6)
+] + minimal_random_dfas(6) + FIFTEEN_STATE_DFAS
 original_report = functools.lru_cache(maxsize=None)(enumerate_atoms)
 
 

@@ -271,6 +271,8 @@ def test_semigroup_cap_carries_partial_count():
     with pytest.raises(CapExceededError) as info:
         transition_semigroup(regular_witness(4), 100)
     assert info.value.partial == 101
+    with pytest.raises(ValueError, match="cap must be positive"):
+        transition_semigroup(regular_witness(4), 0)
 
 
 def test_semigroup_identity_only_when_induced():
